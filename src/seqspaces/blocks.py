@@ -103,9 +103,8 @@ class BlockSystem:
     def certificate(self, k: int) -> float:
         """(S(k M_k)/S(M_k))^{1/p}: the exact l_inf^k equivalence constant."""
         lvl = self.levels[k - 1]
-        s1 = self.weight.prefix_sum(lvl.M)
-        sk = self.weight.prefix_sum(k * lvl.M)
-        return (sk / s1) ** (1.0 / self.p)
+        s1, sk = self.weight.prefix_sums([lvl.M, k * lvl.M])
+        return float(sk / s1) ** (1.0 / self.p)
 
     def to_json_dict(self) -> dict:
         return {
@@ -158,9 +157,8 @@ def _find_min_M(w: Weight, k: int, Kp: float, p: float, cap: int) -> int:
     lo = 1
     while lo <= cap:
         hi = min(lo + chunk - 1, cap)
-        s_m = w.prefix_sums_range(lo, hi)
-        s_km = w.prefix_sums_range(k * lo, k * hi)[:: k]
-        ratios = s_km / s_m
+        ms = np.arange(lo, hi + 1, dtype=np.int64)
+        ratios = w.prefix_sums(k * ms) / w.prefix_sums(ms)
         ok = ratios <= Kp
         if ok.any():
             return lo + int(np.argmax(ok))
@@ -246,31 +244,6 @@ def wp_norm(A, p: float) -> float:
     return math.fsum(m**p for m in maxes) ** (1.0 / p)
 
 
-def _boundary_points(bs: BlockSystem) -> np.ndarray:
-    """All cumulative-length values the run Lorentz norm can ever query.
-
-    Sorting runs by value puts some j_k <= k blocks of each level first, so
-    every query point is a sum of j_k * M_k terms.  The product of (k+1)
-    over levels stays small (5040 at six levels), so the set is enumerated
-    outright.
-    """
-    sums = np.array([0], dtype=np.int64)
-    for lvl in bs.levels:
-        sums = (sums[:, None] + lvl.M * np.arange(lvl.k + 1, dtype=np.int64)).ravel()
-        sums = np.unique(sums)
-    return sums[sums > 0]
-
-
-def warm_prefix_sums(bs: BlockSystem) -> None:
-    """Precompute weight prefix sums at every possible run boundary.
-
-    One ascending pass walks the summation chain once; afterwards run-norm
-    evaluations are dictionary lookups.
-    """
-    for t in _boundary_points(bs).tolist():
-        bs.weight.prefix_sum(int(t))
-
-
 @dataclass(frozen=True)
 class WpEquivReport:
     space: str
@@ -329,7 +302,6 @@ def wp_equivalence_ratios(
     if samples < 0:
         raise DomainError("sample count must be nonnegative")
     w, p = bs.weight, bs.p
-    warm_prefix_sums(bs)
 
     def ratio(rows) -> float:
         denom = wp_norm(rows, p)

@@ -325,6 +325,7 @@ def linf_equiv_bound(
 # ---------------------------------------------------------------------------
 
 _RI_FAMILIES = {"lp", "lorentz"}  # rearrangement-invariant norms
+_MAX_EQUIV_DIM = 2048  # the family strategy holds about 2n candidates of length n
 
 
 @dataclass(frozen=True)
@@ -425,7 +426,7 @@ def estimate_equivalence(
     samples: int = 200,
     seed: int = 0,
 ) -> EquivReport:
-    """Search sup ||v||_from / ||v||_to over nonzero v supported on 1..n.
+    """Search sup ||v||_from / ||v||_to over nonzero v supported on 1..n, n <= 2048.
 
     All norms here are absolute, so candidates are reduced to nonnegative
     vectors normalized to unit sup scale; when both norms are rearrangement
@@ -444,6 +445,8 @@ def estimate_equivalence(
     dst = parse_space(to_space) if isinstance(to_space, str) else to_space
     if n < 1:
         raise DomainError("dimension must be >= 1")
+    if n > _MAX_EQUIV_DIM:
+        raise DomainError(f"dimension {n} is above the supported maximum {_MAX_EQUIV_DIM}")
     if strategy not in ("family", "grid", "coordinate-ascent"):
         raise DomainError(f"unknown strategy {strategy!r}")
     if strategy == "grid" and n > 4:

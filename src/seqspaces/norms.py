@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import garling_subset_max
 from .errors import DomainError, ParseError
 from .series import Bracket, power_tail_bracket
 from .vectors import DENSIFY_CAP, CoeffVec, RunVec
@@ -51,6 +50,7 @@ __all__ = [
 
 _GARLING_NUMPY_CUTOFF = 48
 _BRUTEFORCE_CAP = 20
+_BRUTEFORCE_BATCH = 1 << 16  # masks per batch: a few MB of temporaries
 
 
 def parse_exponent(token: str) -> float:
@@ -322,7 +322,10 @@ def garling_norm(v: CoeffVec, w: Weight, p: float) -> float:
 def garling_norm_bruteforce(v: CoeffVec, w: Weight, p: float) -> float:
     """Independent oracle: enumerate every nonempty subsequence directly.
 
-    Exponential in the support size; refuses supports above 20.
+    Each subset of the support is a bit mask; the i-th support entry joins
+    the sum with the weight of its rank among the selected entries.  Masks
+    are enumerated in batches of _BRUTEFORCE_BATCH.  Exponential in the
+    support size; refuses supports above 20.
     """
     _check_p(p, 1.0, math.inf, False, "garling_norm_bruteforce")
     if v.is_zero():
@@ -332,7 +335,17 @@ def garling_norm_bruteforce(v: CoeffVec, w: Weight, p: float) -> float:
         raise DomainError(f"brute force supports at most {_BRUTEFORCE_CAP} entries, got {m}")
     vp = np.abs(v.values) ** p
     wv = np.asarray(w.values(1, m + 1), dtype=np.float64)
-    return float(garling_subset_max(vp, wv)) ** (1.0 / p)
+    best = 0.0
+    for first in range(1, 1 << m, _BRUTEFORCE_BATCH):
+        masks = np.arange(first, min(first + _BRUTEFORCE_BATCH, 1 << m), dtype=np.int64)
+        acc = np.zeros(masks.size)
+        rank = np.zeros(masks.size, dtype=np.int64)
+        for i in range(m):
+            bit = (masks >> i) & 1
+            acc += vp[i] * wv[rank] * bit  # an unselected entry adds an exact zero
+            rank += bit
+        best = max(best, float(acc.max()))
+    return best ** (1.0 / p)
 
 
 def _suffix_segments(v: CoeffVec) -> tuple[np.ndarray, np.ndarray]:
@@ -374,8 +387,8 @@ def cesaro_norm(v: CoeffVec, p: float, tol: float = 1e-9) -> Bracket:
     """
     if not (1.0 < p):
         raise DomainError(f"cesaro_norm: exponent {p} outside (1, inf]")
-    if tol <= 0:
-        raise DomainError("cesaro_norm: tolerance must be positive")
+    if not (0 < tol < math.inf):
+        raise DomainError(f"cesaro_norm: tolerance must be positive and finite, got {tol}")
     if v.is_zero():
         return Bracket.exact(0.0)
     idx = v.indices
@@ -523,15 +536,8 @@ def lorentz_norm_runs(rv: RunVec, w: Weight, p: float) -> float:
         return 0.0
     a = np.abs(rv.values)
     order = np.lexsort((rv.starts, -a))  # value desc, tie on start for determinism
-    lens = rv.lengths[order]
-    cums = np.cumsum(lens)
-    terms = []
-    prev = 0
-    for r, run in enumerate(order.tolist()):
-        t = int(cums[r])
-        terms.append(a[run] ** p * (w.prefix_sum(t) - w.prefix_sum(prev)))
-        prev = t
-    return math.fsum(terms) ** (1.0 / p)
+    S = w.prefix_sums(np.concatenate(([0], np.cumsum(rv.lengths[order]))))
+    return math.fsum(a[order] ** p * np.diff(S)) ** (1.0 / p)
 
 
 def garling_norm_runs(rv: RunVec, w: Weight, p: float, dense_cap: int = 1 << 15) -> float:

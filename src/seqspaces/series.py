@@ -91,8 +91,8 @@ def power_tail_bracket(p: float, n: int, width: float = 1e-12) -> Bracket:
         raise DomainError(f"tail of sum i^(-p) diverges for p = {p}")
     if n < 0:
         raise DomainError("tail start must be nonnegative")
-    if width <= 0:
-        raise DomainError("bracket width target must be positive")
+    if not (0 < width < math.inf):
+        raise DomainError(f"bracket width target must be positive and finite, got {width}")
     terms: list[float] = []
     m = max(n, 8)
     if m > n:

@@ -25,6 +25,22 @@ __all__ = ["CoeffVec", "RunVec", "add_coeffvecs", "parse_vector_json"]
 
 # Densification guard for RunVec.to_coeffvec and run-based norm paths.
 DENSIFY_CAP = 1 << 21
+_INT64 = np.iinfo(np.int64)
+
+
+def _as_index(i) -> int:
+    """An index entry as an int; booleans, fractions and non-int64 values are rejected."""
+    if isinstance(i, (bool, np.bool_)):
+        raise DomainError(f"index {i!r} is a boolean, not an integer")
+    try:
+        n = int(i)
+    except (OverflowError, ValueError):  # infinities and NaN
+        raise DomainError(f"index {i!r} is not an integer") from None
+    if n != i:
+        raise DomainError(f"index {i!r} is not an integer")
+    if not (_INT64.min <= n <= _INT64.max):
+        raise DomainError(f"index {i!r} is outside the 64-bit integer range")
+    return n
 
 
 @dataclass(frozen=True)
@@ -58,10 +74,7 @@ class CoeffVec:
         pairs = sorted(pairs, key=lambda iv: iv[0])
         if not pairs:
             return CoeffVec()
-        for i, _ in pairs:
-            if int(i) != i:
-                raise DomainError(f"index {i!r} is not an integer")
-        idx = np.array([int(i) for i, _ in pairs], dtype=np.int64)
+        idx = np.array([_as_index(i) for i, _ in pairs], dtype=np.int64)
         val = np.array([float(v) for _, v in pairs], dtype=np.float64)
         return CoeffVec(idx, val)
 
@@ -226,7 +239,7 @@ def parse_vector_json(text_or_obj) -> CoeffVec:
     if isinstance(obj, list):
         try:
             return CoeffVec.from_dense([float(x) for x in obj])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError("dense vector must be a list of numbers") from None
     if isinstance(obj, dict):
         if set(obj) != {"indices", "values"}:
@@ -238,6 +251,6 @@ def parse_vector_json(text_or_obj) -> CoeffVec:
             return CoeffVec.from_pairs(zip(idx, val))
         except DomainError as e:
             raise ParseError(str(e)) from None
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError("sparse vector entries must be numbers") from None
     raise ParseError("vector JSON must be a list or an object")

@@ -205,4 +205,6 @@ def test_estimate_validation():
     with pytest.raises(DomainError):
         estimate_equivalence("lp:p=1", "lp:p=2", 0)
     with pytest.raises(DomainError):
+        estimate_equivalence("lp:p=1", "lp:p=2", 2049)  # candidate lists grow as n^2
+    with pytest.raises(DomainError):
         estimate_equivalence("lp:p=1", "lp:p=2", 3, strategy="annealing")

@@ -69,3 +69,6 @@ def test_domain_errors():
         power_tail_bracket(2.0, -1)
     with pytest.raises(DomainError):
         zeta_bracket(2.0, width=0.0)
+    for width in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            power_tail_bracket(2.0, 10, width=width)

@@ -67,6 +67,24 @@ def test_cli_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_cli_non_finite_tolerance_is_a_domain_error(capsys):
+    for tol in ("nan", "inf"):
+        code = main(["norm", "--space", "cesaro:p=2", "--vector", "[1]", "--tol", tol])
+        assert code == 3
+    assert "finite" in capsys.readouterr().err
+
+
+def test_cli_bad_sparse_indices_are_parse_errors(capsys):
+    for idx in ("[true]", "[1e23]", "[9223372036854775808]"):
+        vec = '{"indices": %s, "values": [2]}' % idx
+        assert main(["norm", "--space", "lp:p=2", "--vector", vec]) == 2
+    huge = "1" + "0" * 400  # a JSON integer too large for a float
+    assert main(["norm", "--space", "lp:p=2", "--vector", f"[{huge}]"]) == 2
+    vec = '{"indices": [1], "values": [%s]}' % huge
+    assert main(["norm", "--space", "lp:p=2", "--vector", vec]) == 2
+    capsys.readouterr()
+
+
 def test_cli_weight_check(capsys):
     assert main(["weight", "check", "--weight", "power:a=0.5",
                  "--condition", "summable", "--N", "64", "--r", "3"]) == 0

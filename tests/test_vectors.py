@@ -46,6 +46,18 @@ def test_from_pairs():
         CoeffVec.from_pairs([(2, 1.0), (2, 3.0)])
 
 
+def test_from_pairs_rejects_booleans_and_out_of_range_indices():
+    assert CoeffVec.from_pairs([(3.0, 1.0)]).indices.tolist() == [3]
+    assert CoeffVec.from_pairs([(2**63 - 1, 1.0)]).support_max == 2**63 - 1
+    for i in (True, np.bool_(True), 1e23, 2**63, -(2**63) - 1, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            CoeffVec.from_pairs([(i, 1.0)])
+    with pytest.raises(ParseError):
+        parse_vector_json('{"indices": [true], "values": [2]}')
+    with pytest.raises(ParseError):
+        parse_vector_json('{"indices": [1e23], "values": [2]}')
+
+
 def test_basis():
     e3 = CoeffVec.basis(3)
     assert e3.indices.tolist() == [3] and e3.values.tolist() == [1.0]

@@ -1,5 +1,6 @@
-"""Weight families: values, cached prefix sums, condition profiles."""
+"""Weight families: values, closed-form prefix sums, condition profiles."""
 
+import math
 import threading
 
 import mpmath
@@ -15,8 +16,32 @@ from seqspaces import (
     check_summable,
     make_weight,
 )
+from seqspaces.weights import _N0
 
 mpmath.mp.dps = 40
+
+
+def _compensated(terms):
+    """Running sums by the compensated (Kahan) recurrence, term by term."""
+    out, s, c = [], 0.0, 0.0
+    for x in terms:
+        y = x - c
+        t = s + y
+        c = (t - s) - y
+        s = t
+        out.append(s)
+    return out
+
+
+def _power_sum(s, n):
+    """sum_{i <= n} i**(-s) at 40 digits, s taken exactly as the float given."""
+    if s == 1.0:
+        return mpmath.harmonic(n)
+    return mpmath.zeta(s) - mpmath.zeta(s, n + 1)
+
+
+def _ulps(got, ref):
+    return float(abs(mpmath.mpf(float(got)) - ref)) / math.ulp(float(ref))
 
 
 def test_values_basic():
@@ -45,6 +70,28 @@ def test_prefix_sum_vs_high_precision():
     wp = Weight.power(0.5)
     ref = float(mpmath.nsum(lambda i: mpmath.mpf(i) ** mpmath.mpf("-0.5"), [1, 2000]))
     assert abs(wp.prefix_sum(2000) - ref) <= 1e-13 * ref
+    # Closed form: within 8 ulp across the end of the tabled head and up to 1e9.
+    ns = [_N0 - 1, _N0, _N0 + 1, 1000, 123457, 10**6 + 1, 2**24 + 3, 10**8, 987654321, 10**9]
+    for w in (Weight.harmonic(), *(Weight.power(a) for a in (0.25, 0.5, 0.9, 0.95, 1.0))):
+        s = 1.0 if w.kind == "harmonic" else w.a
+        for n, got in zip(ns, w.prefix_sums(ns)):
+            assert _ulps(got, _power_sum(s, n)) <= 8.0, (w, n)
+
+
+def test_head_and_explicit_sums_are_the_compensated_recurrence():
+    w = Weight.harmonic()
+    assert w.prefix_sum(1) == 1.0 and w.prefix_sum(2) == 1.5
+    for w in (Weight.harmonic(), Weight.power(0.5), Weight.power(0.95)):
+        want = _compensated(w.values(1, _N0 + 1).tolist())
+        assert w.prefix_sums(np.arange(1, _N0 + 1)).tolist() == want
+    we = Weight.explicit(1.0 / np.sqrt(np.arange(1, 5001)))
+    assert we.prefix_sums_range(1, 5000).tolist() == _compensated(we.values(1, 5001).tolist())
+    rep = check_summable(we, 3.0, 5000)
+    assert rep.profile_values.tolist() == _compensated((we.values(1, 5001) ** 3.0).tolist())
+    with pytest.raises(DomainError):
+        we.prefix_sums([4, 5001])
+    with pytest.raises(DomainError):
+        w.prefix_sums([-1])
 
 
 def test_prefix_sums_range_matches_pointwise():
@@ -139,6 +186,19 @@ def test_summable_verdicts():
     assert rep.extremum == 1.25
     with pytest.raises(DomainError):
         check_summable(make_weight("explicit:[1, 0.5]"), 2.0, 3)
+    for r in (float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            check_summable(Weight.harmonic(), r, 10)
+
+
+def test_summable_partial_sums_vs_high_precision():
+    for w, r in ((Weight.harmonic(), 2.0), (Weight.power(0.5), 3.0),
+                 (Weight.power(0.9), 1.5), (Weight.power(0.25), 8.0)):
+        s = (1.0 if w.kind == "harmonic" else w.a) * r
+        rep = check_summable(w, r, 100_000)
+        assert rep.verdict == "consistent"
+        for n in (1, _N0 - 1, _N0, _N0 + 1, 1000, 100_000):
+            assert _ulps(rep.profile_values[n - 1], _power_sum(s, n)) <= 8.0, (w, r, n)
 
 
 def test_condition_report_json():
