@@ -188,15 +188,8 @@ class LayeredVec:
         if math.isnan(p) or not (1.0 <= p < math.inf):
             raise DomainError(f"layered norm exponent must be in [1, inf), got {p}")
         if self.raw is not None:
-            if self.raw.is_zero():
-                return 0.0
-            idx = self.raw.indices
-            a = np.abs(self.raw.values)
-            # Row n sup is the suffix max of |raw| from the first index >= n;
-            # rows n in (idx_{j-1}, idx_j] share suffix max j.
-            suff = np.maximum.accumulate(a[::-1])[::-1]
-            lens = np.diff(np.concatenate(([0], idx)))
-            return math.fsum(np.repeat(suff**p, lens)) ** (1.0 / p)
+            # Row n's sup is the suffix max of |raw| from n on: the suffix-sup norm.
+            return tandori_norm(self.raw, p)
         sups = [float(np.max(np.abs(vec.values))) for _, vec in self.rows if not vec.is_zero()]
         if not sups:
             return 0.0

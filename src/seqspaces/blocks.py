@@ -14,6 +14,7 @@ result for small systems.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -358,43 +359,27 @@ def averaging_projection(bs: BlockSystem, x: CoeffVec | RunVec) -> RunVec:
     whole block on its own passes its value through unchanged, which makes
     the projection exactly idempotent on its range.
     """
-    starts, lens, vals = [], [], []
-
-    if isinstance(x, RunVec):
-        r_starts, r_lens, r_vals = x.starts, x.lengths, x.values
-        r_ends = r_starts + r_lens
-    elif isinstance(x, CoeffVec):
-        idx = x.indices
-    else:
+    if isinstance(x, CoeffVec):
+        x = RunVec(x.indices, np.ones_like(x.indices), x.values)  # unit runs
+    elif not isinstance(x, RunVec):
         raise DomainError("projection input must be a coefficient or run vector")
-
+    r_starts, r_vals = x.starts.tolist(), x.values.tolist()
+    r_ends = (x.starts + x.lengths).tolist()
+    starts, lens, vals = [], [], []
     for lvl in bs.levels:
         for i in range(1, lvl.k + 1):
             blo, bhi = lvl.block_range(i)
-            if isinstance(x, RunVec):
-                first = int(np.searchsorted(r_ends, blo, side="right"))
-                last = int(np.searchsorted(r_starts, bhi, side="left"))
-                if first >= last:
-                    continue
-                if (
-                    last - first == 1
-                    and r_starts[first] <= blo
-                    and r_ends[first] >= bhi
-                ):
-                    lam = float(r_vals[first])
-                else:
-                    total = math.fsum(
-                        float(r_vals[j])
-                        * (min(int(r_ends[j]), bhi) - max(int(r_starts[j]), blo))
-                        for j in range(first, last)
-                    )
-                    lam = total / lvl.M
+            first = bisect.bisect_right(r_ends, blo)
+            last = bisect.bisect_left(r_starts, bhi)
+            if first >= last:
+                continue
+            if last - first == 1 and r_starts[first] <= blo and r_ends[first] >= bhi:
+                lam = r_vals[first]
             else:
-                a = int(np.searchsorted(idx, blo, side="left"))
-                b = int(np.searchsorted(idx, bhi, side="left"))
-                if a == b:
-                    continue
-                lam = math.fsum(x.values[a:b]) / lvl.M
+                lam = math.fsum(
+                    r_vals[j] * (min(r_ends[j], bhi) - max(r_starts[j], blo))
+                    for j in range(first, last)
+                ) / lvl.M
             if lam != 0.0:
                 starts.append(blo)
                 lens.append(lvl.M)

@@ -19,6 +19,7 @@ import numpy as np
 from .bases import f_coeffs_to_raw
 from .errors import DomainError
 from .norms import (
+    _FAMILIES,
     SpaceSpec,
     blocksum_norm,
     lorentz_norm,
@@ -102,17 +103,15 @@ def holder_domination(
     summ = check_summable(w, r, horizon=min(1 << 14, w.limit or 1 << 14))
     if summ.verdict == "violated":
         raise DomainError(
-            f"w^{r} is not summable (a*r = {w.a * r if w.kind == 'power' else '?'} <= 1); "
+            f"w^{r} is not summable (a*r = {w.a * r} <= 1); "
             "no Hölder constant exists"
         )
     truncated = False
-    if w.kind == "harmonic":
-        series = zeta_bracket(r, width)
-    elif w.kind == "power":
-        series = zeta_bracket(w.a * r, width)
-    else:
+    if w.kind == "explicit":
         series = Bracket.exact(math.fsum(np.asarray(w.data, dtype=np.float64) ** r))
         truncated = True
+    else:
+        series = zeta_bracket(w.a * r, width)
     C = series.powed(1.0 / (r * p))
 
     m_cap = 48 if w.limit is None else min(48, w.limit)
@@ -324,7 +323,6 @@ def linf_equiv_bound(
 # generic two-norm extremal search
 # ---------------------------------------------------------------------------
 
-_RI_FAMILIES = {"lp", "lorentz"}  # rearrangement-invariant norms
 _MAX_EQUIV_DIM = 2048  # the family strategy holds about 2n candidates of length n
 
 
@@ -469,7 +467,7 @@ def estimate_equivalence(
         den = norm(v, dst).mid
         return num / den
 
-    both_ri = src.family in _RI_FAMILIES and dst.family in _RI_FAMILIES
+    both_ri = all(_FAMILIES[s.family].rearrangement_invariant for s in (src, dst))
 
     seen: set[tuple[float, ...]] = set()
     candidates: list[tuple[float, ...]] = []

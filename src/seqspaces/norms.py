@@ -10,6 +10,13 @@ Families and their admissible exponents:
 * ``blocksum:lengths=<..>,inner=<q>,outer=<p>``  lengths dyadic | triangular
 * ``epw:n=<n>,p=<p>,w=<w>``         max of the l_p norm and w times the l_2 norm
 
+Each family is one entry of the table ``_FAMILIES``: its spec fields in
+canonical order, its exponent domain, whether its norm is rearrangement
+invariant, and how to build, format and evaluate it.  ``SpaceSpec``
+validation and formatting, ``parse_space`` and ``norm`` are each one lookup
+in that table, and each kernel checks its exponent against the same domain
+object, so a new family takes one kernel and one entry.
+
 The Cesaro norm of a finitely supported vector is an infinite series, so it
 is returned as a certified Bracket; every other family is exact in floating
 point and is reported as a degenerate bracket by the dispatcher.
@@ -22,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,9 +56,14 @@ __all__ = [
     "garling_norm_runs",
 ]
 
-_GARLING_NUMPY_CUTOFF = 48
+_GARLING_NUMPY_CUTOFF = 24
 _BRUTEFORCE_CAP = 20
 _BRUTEFORCE_BATCH = 1 << 16  # masks per batch: a few MB of temporaries
+_NORMAL_MIN = np.finfo(np.float64).smallest_normal
+_BLOCK_LENGTHS = {  # named block length sequences of the blocksum family
+    "dyadic": lambda: (1 << (n - 1) for n in itertools.count(1)),
+    "triangular": lambda: itertools.count(1),
+}
 
 
 def parse_exponent(token: str) -> float:
@@ -74,6 +87,26 @@ def format_exponent(p: float) -> str:
 
 
 @dataclass(frozen=True)
+class _Exponents:
+    """The exponents p >= 1 (p > 1 when ``open_lo``), with p = inf when ``with_inf``."""
+
+    open_lo: bool = False
+    with_inf: bool = True
+
+    def check(self, p: float, what: str) -> None:
+        if not ((p > 1.0 if self.open_lo else p >= 1.0) and (self.with_inf or p < math.inf)):
+            raise DomainError(f"{what} must be in {self}, got {p}")
+
+    def __str__(self) -> str:
+        return ("(1, " if self.open_lo else "[1, ") + ("inf]" if self.with_inf else "inf)")
+
+
+_ANY_P = _Exponents()  # [1, inf]
+_FINITE_P = _Exponents(with_inf=False)  # [1, inf)
+_ABOVE_ONE = _Exponents(open_lo=True)  # (1, inf]
+
+
+@dataclass(frozen=True)
 class SpaceSpec:
     """A parsed space description."""
 
@@ -86,56 +119,21 @@ class SpaceSpec:
     w_scalar: float | None = None
 
     def __post_init__(self):
-        f = self.family
-        p = self.p
-        if f == "lp":
-            if not (1.0 <= p):
-                raise DomainError(f"lp exponent must be in [1, inf], got {p}")
-        elif f in ("lorentz", "garling"):
-            if not (1.0 <= p < math.inf):
-                raise DomainError(f"{f} exponent must be in [1, inf), got {p}")
-            if self.weight is None:
-                raise DomainError(f"{f} space needs a weight")
-        elif f == "cesaro":
-            if not (1.0 < p):
-                raise DomainError(f"cesaro exponent must be in (1, inf], got {p}")
-        elif f == "tandori":
-            if not (1.0 <= p < math.inf):
-                raise DomainError(f"tandori exponent must be in [1, inf), got {p}")
-        elif f == "blocksum":
-            if not (1.0 <= p):
-                raise DomainError(f"blocksum outer exponent must be in [1, inf], got {p}")
-            if self.inner is None or not (1.0 <= self.inner):
-                raise DomainError(f"blocksum inner exponent must be in [1, inf], got {self.inner}")
-            if self.lengths not in ("dyadic", "triangular"):
-                raise DomainError(f"blocksum lengths must be dyadic or triangular, got {self.lengths!r}")
-        elif f == "epw":
-            if not (1.0 <= p < math.inf):
-                raise DomainError(f"epw exponent must be in [1, inf), got {p}")
-            if self.n is None or self.n < 1:
-                raise DomainError("epw needs a positive dimension n")
-            if self.w_scalar is None or not (0.0 < self.w_scalar <= 1.0):
-                raise DomainError(f"epw scalar weight must be in (0, 1], got {self.w_scalar}")
-        else:
+        entry = _FAMILIES.get(self.family)
+        if entry is None:
             raise DomainError(f"unknown space family {self.family!r}")
+        for f in entry.fields:
+            if getattr(self, f.attr) is None:
+                raise DomainError(f"{self.family} space needs its {f.name} field")
+        entry.domain.check(self.p, f"{self.family} exponent")
+        entry.validate(self)
 
     @property
     def spec(self) -> str:
-        f = self.family
-        if f == "lp":
-            return f"lp:p={format_exponent(self.p)}"
-        if f in ("lorentz", "garling"):
-            return f"{f}:w={self.weight.spec},p={format_exponent(self.p)}"
-        if f == "cesaro":
-            return f"cesaro:p={format_exponent(self.p)}"
-        if f == "tandori":
-            return f"tandori:p={format_exponent(self.p)}"
-        if f == "blocksum":
-            return (
-                f"blocksum:lengths={self.lengths},inner={format_exponent(self.inner)},"
-                f"outer={format_exponent(self.p)}"
-            )
-        return f"epw:n={self.n},p={format_exponent(self.p)},w={self.w_scalar!r}"
+        fields = _FAMILIES[self.family].fields
+        return f"{self.family}:" + ",".join(
+            f"{f.name}={f.format(getattr(self, f.attr))}" for f in fields
+        )
 
     def __repr__(self) -> str:
         return f"SpaceSpec({self.spec})"
@@ -182,6 +180,15 @@ def _parse_fields(body: str, allowed: tuple[str, ...], where: str) -> dict[str, 
     return out
 
 
+def _parse_weighted_fields(body: str, allowed: tuple[str, ...], where: str) -> dict[str, str]:
+    """``w=<weight>,p=<exponent>``: w= consumes everything up to the final ,p= field."""
+    parts = _split_fields(body)
+    first, last = parts[0].strip(), parts[-1].strip()
+    if len(parts) < 2 or not first.startswith("w=") or not last.startswith("p="):
+        raise ParseError(f"{where} needs w=<weight> and p=<exponent>")
+    return {"w": ",".join([first[2:]] + parts[1:-1]), "p": last[2:]}
+
+
 def parse_space(spec: str) -> SpaceSpec:
     """Parse a space spec string (see the module docstring for the grammar)."""
     if not isinstance(spec, str):
@@ -191,60 +198,20 @@ def parse_space(spec: str) -> SpaceSpec:
         raise ParseError(f"space spec needs a family prefix, got {spec!r}")
     family, body = s.split(":", 1)
     family = family.strip()
-    try:
-        if family == "lp":
-            f = _parse_fields(body, ("p",), "lp spec")
-            return SpaceSpec("lp", parse_exponent(f["p"]))
-        if family in ("lorentz", "garling"):
-            # w= consumes everything up to the final ,p= field; split carefully.
-            f = _parse_weighted_body(body, family)
-            return SpaceSpec(family, f[1], weight=f[0])
-        if family == "cesaro":
-            f = _parse_fields(body, ("p",), "cesaro spec")
-            return SpaceSpec("cesaro", parse_exponent(f["p"]))
-        if family == "tandori":
-            f = _parse_fields(body, ("p",), "tandori spec")
-            return SpaceSpec("tandori", parse_exponent(f["p"]))
-        if family == "blocksum":
-            f = _parse_fields(body, ("lengths", "inner", "outer"), "blocksum spec")
-            outer = f["outer"]
-            p = math.inf if outer == "c0" else parse_exponent(outer)
-            return SpaceSpec(
-                "blocksum", p, inner=parse_exponent(f["inner"]), lengths=f["lengths"]
-            )
-        if family == "epw":
-            f = _parse_fields(body, ("n", "p", "w"), "epw spec")
-            try:
-                n = int(f["n"])
-            except ValueError:
-                raise ParseError(f"bad epw dimension {f['n']!r}") from None
-            try:
-                ws = float(f["w"])
-            except ValueError:
-                raise ParseError(f"bad epw scalar weight {f['w']!r}") from None
-            return SpaceSpec("epw", parse_exponent(f["p"]), n=n, w_scalar=ws)
-    except DomainError:
-        raise
-    raise ParseError(f"unknown space family {family!r}")
-
-
-def _parse_weighted_body(body: str, family: str) -> tuple[Weight, float]:
-    parts = _split_fields(body)
-    w_parts = []
-    p_val = None
-    for part in parts:
-        stripped = part.strip()
-        if stripped.startswith("p=") and p_val is None and w_parts:
-            p_val = parse_exponent(stripped[2:])
-        elif stripped.startswith("w=") and not w_parts:
-            w_parts.append(stripped[2:])
-        elif w_parts and p_val is None:
-            w_parts.append(part)  # comma inside an explicit weight array
-        else:
-            raise ParseError(f"bad field {part!r} in {family} spec")
-    if not w_parts or p_val is None:
-        raise ParseError(f"{family} spec needs w=<weight> and p=<exponent>")
-    return make_weight(",".join(w_parts)), p_val
+    entry = _FAMILIES.get(family)
+    if entry is None:
+        raise ParseError(f"unknown space family {family!r}")
+    where = f"{family} spec"
+    tokens = entry.split(body, tuple(f.name for f in entry.fields), where)
+    values = {}
+    for f in entry.fields:
+        try:
+            values[f.attr] = f.parse(tokens[f.name])
+        except ParseError:
+            raise
+        except ValueError:  # int() or float() of a bad token
+            raise ParseError(f"bad {f.name} {tokens[f.name]!r} in {where}") from None
+    return SpaceSpec(family, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -252,26 +219,21 @@ def _parse_weighted_body(body: str, family: str) -> tuple[Weight, float]:
 # ---------------------------------------------------------------------------
 
 
-def _check_p(p: float, lo: float, hi: float, closed_hi: bool, what: str) -> None:
-    if math.isnan(p):
-        raise DomainError(f"{what}: exponent must not be NaN")
-    ok = (p >= lo) and (p <= hi if closed_hi else p < hi)
-    if not ok:
-        rng = f"[{lo}, {'inf]' if closed_hi else 'inf)'}"
-        raise DomainError(f"{what}: exponent {p} outside {rng}")
-
-
-def lp_norm(v: CoeffVec, p: float) -> float:
-    """The l_p norm, p in [1, inf]."""
-    _check_p(p, 1.0, math.inf, True, "lp_norm")
-    if v.is_zero():
-        return 0.0
-    a = np.abs(v.values)
+def _lp(a: np.ndarray, p: float) -> float:
+    """The l_p norm of a nonempty array of magnitudes."""
     if math.isinf(p):
         return float(a.max())
     if p == 1.0:
         return math.fsum(a)
     return math.fsum(a**p) ** (1.0 / p)
+
+
+def lp_norm(v: CoeffVec, p: float) -> float:
+    """The l_p norm, p in [1, inf]."""
+    _ANY_P.check(p, "lp_norm exponent")
+    if v.is_zero():
+        return 0.0
+    return _lp(np.abs(v.values), p)
 
 
 def lorentz_norm(v: CoeffVec, w: Weight, p: float) -> float:
@@ -280,7 +242,7 @@ def lorentz_norm(v: CoeffVec, w: Weight, p: float) -> float:
     The sup over permutations is attained by sorting |a| in nonincreasing
     order, because the weights are nonincreasing.
     """
-    _check_p(p, 1.0, math.inf, False, "lorentz_norm")
+    _FINITE_P.check(p, "lorentz_norm exponent")
     if v.is_zero():
         return 0.0
     m = len(v)
@@ -298,7 +260,7 @@ def garling_norm(v: CoeffVec, w: Weight, p: float) -> float:
     Zeros contribute nothing and only waste a weight slot, so only the
     support is iterated.  O(m^2) in the support size m.
     """
-    _check_p(p, 1.0, math.inf, False, "garling_norm")
+    _FINITE_P.check(p, "garling_norm exponent")
     if v.is_zero():
         return 0.0
     m = len(v)
@@ -327,7 +289,7 @@ def garling_norm_bruteforce(v: CoeffVec, w: Weight, p: float) -> float:
     are enumerated in batches of _BRUTEFORCE_BATCH.  Exponential in the
     support size; refuses supports above 20.
     """
-    _check_p(p, 1.0, math.inf, False, "garling_norm_bruteforce")
+    _FINITE_P.check(p, "garling_norm_bruteforce exponent")
     if v.is_zero():
         return 0.0
     m = len(v)
@@ -348,32 +310,33 @@ def garling_norm_bruteforce(v: CoeffVec, w: Weight, p: float) -> float:
     return best ** (1.0 / p)
 
 
-def _suffix_segments(v: CoeffVec) -> tuple[np.ndarray, np.ndarray]:
-    """Segment lengths and suffix maxima of |v| between consecutive support points.
-
-    Positions i in (idx_{j-1}, idx_j] share the suffix supremum
-    max(|a_{idx_j}|, ..., |a_{idx_m}|); beyond idx_m the supremum is 0.
-    """
-    idx = v.indices
-    a = np.abs(v.values)
-    suff = np.maximum.accumulate(a[::-1])[::-1]
-    lens = np.diff(np.concatenate(([0], idx)))
-    return lens, suff
-
-
 def tandori_norm(v: CoeffVec, p: float) -> float:
     """l_p norm of i -> sup_{j >= i} |a_j|, p in [1, inf)."""
-    _check_p(p, 1.0, math.inf, False, "tandori_norm")
+    _FINITE_P.check(p, "tandori_norm exponent")
     if v.is_zero():
         return 0.0
-    lens, suff = _suffix_segments(v)
-    terms = suff**p
+    # Positions i in (idx_{j-1}, idx_j] share the suffix supremum
+    # max(|a_{idx_j}|, ..., |a_{idx_m}|); beyond idx_m the supremum is 0.
+    terms = np.maximum.accumulate(np.abs(v.values)[::-1])[::-1] ** p
+    lens = np.diff(np.concatenate(([0], v.indices)))
     if v.support_max <= DENSIFY_CAP:
         # Exactly rounded accumulation over the per-index terms.
         total = math.fsum(np.repeat(terms, lens))
     else:
         total = math.fsum(terms * lens)
     return total ** (1.0 / p)
+
+
+def _cesaro_head(a: np.ndarray, lens: np.ndarray, first: int, p: float) -> tuple[float, float]:
+    """(sum of (prefix average)^p through the support, (sum |a|)^p); inf on overflow."""
+    prefixes = np.cumsum(a)
+    running = np.repeat(prefixes, lens)  # prefix sums of |a| at idx_1 .. n_max
+    with np.errstate(over="ignore"):
+        try:
+            head = math.fsum((running / np.arange(first, first + running.size)) ** p)
+            return head, float(prefixes[-1]) ** p
+        except OverflowError:
+            return math.inf, math.inf
 
 
 def cesaro_norm(v: CoeffVec, p: float, tol: float = 1e-9) -> Bracket:
@@ -383,30 +346,34 @@ def cesaro_norm(v: CoeffVec, p: float, tol: float = 1e-9) -> Bracket:
     sum|a| / i past the support.  The head through the support and beyond is
     summed exactly; the remaining tail is bracketed via power_tail_bracket
     and tightened until the bracket width is at most tol relative to the
-    norm value.
+    norm value.  When the head or (sum|a|)^p leaves the normal float range,
+    the series is summed for 2**-k v instead, with sum|a| in [1/2, 1), and
+    the bracket is scaled back by 2**k: the norm is homogeneous, and scaling
+    by a power of two is exact.
     """
-    if not (1.0 < p):
-        raise DomainError(f"cesaro_norm: exponent {p} outside (1, inf]")
+    _ABOVE_ONE.check(p, "cesaro_norm exponent")
     if not (0 < tol < math.inf):
         raise DomainError(f"cesaro_norm: tolerance must be positive and finite, got {tol}")
     if v.is_zero():
         return Bracket.exact(0.0)
     idx = v.indices
-    prefixes = np.cumsum(np.abs(v.values))
+    a = np.abs(v.values)
     if math.isinf(p):
         # Averages only change at support points and decay in between.
-        sup = float(np.max(prefixes / idx))
+        sup = float(np.max(np.cumsum(a) / idx))
         return Bracket.exact(sup)
     n_max = v.support_max
     if n_max > DENSIFY_CAP:
         raise DomainError(f"cesaro_norm: support extends past {DENSIFY_CAP}")
     # The prefix sum is constant on [idx_j, idx_{j+1}) and zero before idx_1.
     lens = np.diff(np.concatenate((idx, [n_max + 1])))
-    running = np.repeat(prefixes, lens)  # prefix sums of |a| at idx_1 .. n_max
-    head = math.fsum((running / np.arange(int(idx[0]), n_max + 1)) ** p)
-    total_abs = float(prefixes[-1])
-    # Tail: sum_{i>n_max} (total_abs / i)^p, tightened until relative width <= tol.
-    scale = total_abs**p
+    head, scale = _cesaro_head(a, lens, int(idx[0]), p)
+    k = 0
+    if not (_NORMAL_MIN <= min(head, scale) and max(head, scale) < math.inf):
+        e = math.frexp(float(a.max()))[1]
+        k = e + math.frexp(math.fsum(np.ldexp(a, -e)))[1]
+        head, scale = _cesaro_head(np.ldexp(a, -k), lens, int(idx[0]), p)
+    # Tail: sum_{i>n_max} (sum|a| / i)^p, tightened until relative width <= tol.
     width_target = tol * max(head, scale * 1e-6)
     for _ in range(60):
         tail = power_tail_bracket(p, n_max, width_target / max(scale, 1e-300))
@@ -414,39 +381,29 @@ def cesaro_norm(v: CoeffVec, p: float, tol: float = 1e-9) -> Bracket:
             (head + scale * tail.lo) ** (1.0 / p), (head + scale * tail.hi) ** (1.0 / p)
         )
         if bracket.width <= tol * bracket.mid:
-            return bracket
+            break
         width_target *= 0.25
-    return bracket
+    return Bracket(math.ldexp(bracket.lo, k), math.ldexp(bracket.hi, k))
 
 
 def _block_lengths(lengths, support_max: int):
-    """Yield (block_index, start, length) until the blocks cover support_max."""
+    """Yield (start, length) per block until the blocks cover support_max."""
     if isinstance(lengths, str):
-        if lengths == "dyadic":
-            lens = (1 << (n - 1) for n in itertools.count(1))
-        elif lengths == "triangular":
-            lens = itertools.count(1)
-        else:
+        if lengths not in _BLOCK_LENGTHS:
             raise DomainError(f"unknown block length family {lengths!r}")
-        finite = False
+        lens = _BLOCK_LENGTHS[lengths]()  # endless
     else:
         lens = iter([int(x) for x in lengths])
-        finite = True
     start = 1
-    n = 0
     while start <= support_max:
-        try:
-            ln = next(lens)
-        except StopIteration:
-            if finite:
-                raise DomainError(
-                    f"support reaches index {support_max} but the blocks end at {start - 1}"
-                ) from None
-            raise
+        ln = next(lens, None)
+        if ln is None:
+            raise DomainError(
+                f"support reaches index {support_max} but the blocks end at {start - 1}"
+            )
         if ln < 1:
             raise DomainError("block lengths must be positive")
-        n += 1
-        yield n, start, ln
+        yield start, ln
         start += ln
 
 
@@ -458,25 +415,19 @@ def blocksum_norm(v: CoeffVec, lengths, inner: float, outer: float) -> float:
     exponent of inf is the supremum; for finitely supported vectors the
     c_0-style direct sum has the same norm.
     """
-    _check_p(inner, 1.0, math.inf, True, "blocksum_norm inner")
-    _check_p(outer, 1.0, math.inf, True, "blocksum_norm outer")
+    _ANY_P.check(inner, "blocksum_norm inner exponent")
+    _ANY_P.check(outer, "blocksum_norm outer exponent")
     if v.is_zero():
         return 0.0
     idx = v.indices
     a = np.abs(v.values)
     block_norms: list[float] = []
-    for _, start, ln in _block_lengths(lengths, v.support_max):
+    for start, ln in _block_lengths(lengths, v.support_max):
         lo = np.searchsorted(idx, start, side="left")
         hi = np.searchsorted(idx, start + ln, side="left")
         if lo == hi:
             continue
-        chunk = a[lo:hi]
-        if math.isinf(inner):
-            block_norms.append(float(chunk.max()))
-        elif inner == 1.0:
-            block_norms.append(math.fsum(chunk))
-        else:
-            block_norms.append(math.fsum(chunk**inner) ** (1.0 / inner))
+        block_norms.append(_lp(a[lo:hi], inner))
     if not block_norms:
         return 0.0
     if math.isinf(outer):
@@ -486,13 +437,17 @@ def blocksum_norm(v: CoeffVec, lengths, inner: float, outer: float) -> float:
     return math.fsum(b**outer for b in block_norms) ** (1.0 / outer)
 
 
+def _check_epw_args(n: int, w_scalar: float, what: str) -> None:
+    if n < 1:
+        raise DomainError(f"{what} needs a positive dimension n")
+    if not (0.0 < w_scalar <= 1.0):
+        raise DomainError(f"{what} scalar weight must be in (0, 1], got {w_scalar}")
+
+
 def epw_norm(v: CoeffVec, n: int, p: float, w_scalar: float) -> float:
     """max of the l_p norm and w times the l_2 norm on coordinates 1..n."""
-    _check_p(p, 1.0, math.inf, False, "epw_norm")
-    if n < 1:
-        raise DomainError("epw_norm: dimension must be >= 1")
-    if not (0.0 < w_scalar <= 1.0):
-        raise DomainError(f"epw_norm: scalar weight {w_scalar} outside (0, 1]")
+    _FINITE_P.check(p, "epw_norm exponent")
+    _check_epw_args(n, w_scalar, "epw_norm")
     if v.support_max > n:
         raise DomainError(f"epw_norm: support reaches {v.support_max}, beyond n = {n}")
     return max(lp_norm(v, p), w_scalar * lp_norm(v, 2.0))
@@ -501,22 +456,7 @@ def epw_norm(v: CoeffVec, n: int, p: float, w_scalar: float) -> float:
 def norm(v: CoeffVec, space: SpaceSpec | str, tol: float = 1e-9) -> Bracket:
     """Evaluate the norm of ``v`` in ``space``; exact families give [x, x]."""
     s = parse_space(space) if isinstance(space, str) else space
-    f = s.family
-    if f == "lp":
-        return Bracket.exact(lp_norm(v, s.p))
-    if f == "lorentz":
-        return Bracket.exact(lorentz_norm(v, s.weight, s.p))
-    if f == "garling":
-        return Bracket.exact(garling_norm(v, s.weight, s.p))
-    if f == "cesaro":
-        return cesaro_norm(v, s.p, tol)
-    if f == "tandori":
-        return Bracket.exact(tandori_norm(v, s.p))
-    if f == "blocksum":
-        return Bracket.exact(blocksum_norm(v, s.lengths, s.inner, s.p))
-    if f == "epw":
-        return Bracket.exact(epw_norm(v, s.n, s.p, s.w_scalar))
-    raise DomainError(f"unknown space family {f!r}")
+    return _FAMILIES[s.family].evaluate(v, s, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +471,7 @@ def lorentz_norm_runs(rv: RunVec, w: Weight, p: float) -> float:
     each run contributes value^p * (S(T_r) - S(T_{r-1})) with T_r the
     cumulative length of the top r runs.
     """
-    _check_p(p, 1.0, math.inf, False, "lorentz_norm_runs")
+    _FINITE_P.check(p, "lorentz_norm_runs exponent")
     if rv.is_zero():
         return 0.0
     a = np.abs(rv.values)
@@ -547,7 +487,7 @@ def garling_norm_runs(rv: RunVec, w: Weight, p: float, dense_cap: int = 1 << 15)
     prefix sums increase.  Multiple runs are densified below ``dense_cap``
     support; beyond it the combinatorial optimum is not implemented.
     """
-    _check_p(p, 1.0, math.inf, False, "garling_norm_runs")
+    _FINITE_P.check(p, "garling_norm_runs exponent")
     if rv.is_zero():
         return 0.0
     if rv.starts.size == 1:
@@ -559,3 +499,90 @@ def garling_norm_runs(rv: RunVec, w: Weight, p: float, dense_cap: int = 1 << 15)
             f"(densification cap {dense_cap})"
         )
     return garling_norm(rv.to_coeffvec(), w, p)
+
+
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Field:
+    """A spec field ``name=<token>``, stored in the SpaceSpec attribute ``attr``."""
+
+    name: str
+    attr: str
+    parse: Callable[[str], object]
+    format: Callable[[object], str] = str
+
+
+_P = _Field("p", "p", parse_exponent, format_exponent)
+_W = _Field("w", "weight", make_weight, lambda w: w.spec)
+
+
+def _validate_blocksum(s: SpaceSpec) -> None:
+    _ANY_P.check(s.inner, f"{s.family} inner exponent")
+    if s.lengths not in _BLOCK_LENGTHS:
+        raise DomainError(f"{s.family} lengths must be dyadic or triangular, got {s.lengths!r}")
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family of the space grammar: a row of ``_FAMILIES``.
+
+    ``fields`` lists the spec fields in canonical order; ``domain`` holds
+    ``SpaceSpec.p`` and ``validate`` checks the other parameters;
+    ``evaluate(v, space, tol)`` is the norm as a Bracket.  The evaluators name
+    their kernels at call time, so rebinding a module-level kernel reaches
+    ``norm``.
+    """
+
+    fields: tuple[_Field, ...]
+    domain: _Exponents
+    rearrangement_invariant: bool
+    evaluate: Callable[[CoeffVec, SpaceSpec, float], Bracket]
+    validate: Callable[[SpaceSpec], None] = lambda s: None
+    split: Callable[[str, tuple[str, ...], str], dict[str, str]] = _parse_fields
+
+
+_FAMILIES: dict[str, _Family] = {
+    "lp": _Family((_P,), _ANY_P, True, lambda v, s, tol: Bracket.exact(lp_norm(v, s.p))),
+    "lorentz": _Family(
+        (_W, _P),
+        _FINITE_P,
+        True,
+        lambda v, s, tol: Bracket.exact(lorentz_norm(v, s.weight, s.p)),
+        split=_parse_weighted_fields,
+    ),
+    "garling": _Family(
+        (_W, _P),
+        _FINITE_P,
+        False,
+        lambda v, s, tol: Bracket.exact(garling_norm(v, s.weight, s.p)),
+        split=_parse_weighted_fields,
+    ),
+    "cesaro": _Family((_P,), _ABOVE_ONE, False, lambda v, s, tol: cesaro_norm(v, s.p, tol)),
+    "tandori": _Family(
+        (_P,), _FINITE_P, False, lambda v, s, tol: Bracket.exact(tandori_norm(v, s.p))
+    ),
+    "blocksum": _Family(
+        (
+            _Field("lengths", "lengths", str),
+            _Field("inner", "inner", parse_exponent, format_exponent),
+            _Field("outer", "p", lambda t: math.inf if t == "c0" else parse_exponent(t),
+                   format_exponent),
+        ),
+        _ANY_P,
+        False,
+        lambda v, s, tol: Bracket.exact(blocksum_norm(v, s.lengths, s.inner, s.p)),
+        validate=_validate_blocksum,
+    ),
+    # Invariant under permutations of 1..n only: no support may leave the section.
+    "epw": _Family(
+        (_Field("n", "n", int), _P, _Field("w", "w_scalar", float, repr)),
+        _FINITE_P,
+        False,
+        lambda v, s, tol: Bracket.exact(epw_norm(v, s.n, s.p, s.w_scalar)),
+        validate=lambda s: _check_epw_args(s.n, s.w_scalar, s.family),
+    ),
+}

@@ -3,14 +3,14 @@
 A weight is a positive nonincreasing null sequence w with w_1 = 1 that is
 not summable.  Three kinds are supported:
 
-* ``harmonic``: w_i = 1/i,
+* ``harmonic``: w_i = 1/i, stored as the power weight with a = 1,
 * ``power:a=<a>``: w_i = i**(-a) for a in (0, 1],
 * ``explicit:<json array or path>``: a finite prefix given literally.
 
 Prefix sums S(n) = w_1 + ... + w_n are the package's central quantity.  For
-the parametric kinds, w_i = i**(-s) with s = 1 or s = a, they come from one
-vectorized closed form (``_PowerSums``): a table of compensated sums for
-n <= 64 and Euler-Maclaurin summation anchored on that table beyond it.  An
+the parametric kinds, w_i = i**(-a), they come from one vectorized closed
+form (``_PowerSums``): a table of compensated sums for n <= 64 and
+Euler-Maclaurin summation anchored on that table beyond it.  An
 explicit weight's whole prefix table is accumulated once by the same
 compensated recurrence.  Either way S(n) is a pure function of n, evaluated
 elementwise: a value never depends on which other indices were asked for.
@@ -126,7 +126,7 @@ class Weight:
 
     def __init__(self, kind: str, a: float | None = None, data: np.ndarray | None = None):
         if kind == "harmonic":
-            pass
+            a = 1.0  # the power weight with exponent 1
         elif kind == "power":
             if a is None or not (0.0 < a <= 1.0):
                 raise DomainError(f"power weight needs an exponent in (0, 1], got {a!r}")
@@ -156,9 +156,7 @@ class Weight:
         """Weight values w_i for i in [lo, hi), 1-based."""
         if lo < 1 or hi < lo:
             raise DomainError("invalid index range")
-        if self.kind == "harmonic":
-            return 1.0 / np.arange(lo, hi, dtype=np.float64)
-        if self.kind == "power":
+        if self.kind != "explicit":
             return np.arange(lo, hi, dtype=np.float64) ** (-self.a)
         if hi - 1 > self.data.size:
             raise DomainError(
@@ -175,8 +173,7 @@ class Weight:
     def _sums(self):
         if self.kind == "explicit":
             return _compensated_sums(self.data).__getitem__
-        s = 1.0 if self.kind == "harmonic" else self.a
-        return _PowerSums(s, self.values(1, _N0 + 1))
+        return _PowerSums(self.a, self.values(1, _N0 + 1))
 
     def prefix_sums(self, ns) -> np.ndarray:
         """S(n) = w_1 + ... + w_n for every n in an integer array (S(0) = 0).
@@ -415,12 +412,11 @@ def check_summable(w: Weight, r: float, horizon: int) -> ConditionReport:
         verdict = "inconclusive"
         note = "explicit weight gives only a finite prefix; summability is undetermined"
     else:
-        a = 1.0 if w.kind == "harmonic" else w.a
-        partial = _PowerSums(a * r, w.values(1, _N0 + 1) ** r)(ns)
-        summable = a * r > 1.0
+        partial = _PowerSums(w.a * r, w.values(1, _N0 + 1) ** r)(ns)
+        summable = w.a * r > 1.0
         verdict = "consistent" if summable else "violated"
         note = (
-            f"closed-form criterion a*r > 1 with a = {a}: "
+            f"closed-form criterion a*r > 1 with a = {w.a}: "
             + ("series converges" if summable else "series diverges")
         )
     return ConditionReport(

@@ -85,6 +85,12 @@ def test_embed_isometry_exact():
         raw = f_coeffs_to_raw(a, p)
         lv = embed_tandori_lpc0(a, p)
         assert lv.norm(p) == tandori_norm(raw, p)
+    # A holding far out: the suffix layout must not densify 10^9 rows.
+    far = CoeffVec.basis(10**9)
+    for p in (1.0, 2.0):
+        t = embed_tandori_lpc0(far, p).norm(p)
+        assert t == tandori_norm(f_coeffs_to_raw(far, p), p)
+        assert abs(t - 1.0) <= 1e-12
 
 
 def test_layered_rows_and_json():

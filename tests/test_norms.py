@@ -187,10 +187,10 @@ def _garling_reference(v, w, p):
 
 
 def test_garling_both_paths_vs_reference():
-    # Supports below and above the vectorized cutoff take different code
-    # paths; both must agree with a plain reference DP.
+    # Supports up to the vectorized cutoff (24) take the list loop and larger
+    # ones the numpy loop; both must agree with a plain reference DP.
     for j in range(40):
-        m = (3, 20, 47, 48, 49, 60)[j % 6]
+        m = (3, 20, 23, 24, 25, 47, 48, 49, 60)[j % 9]
         rng = rng_for(12, j)
         idx = np.sort(rng.choice(np.arange(1, 200), size=m, replace=False))
         v = CoeffVec(idx, rng.uniform(-2.0, 2.0, size=m))

@@ -1,6 +1,7 @@
 """Verification suites and the command line surface."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -72,6 +73,14 @@ def test_cli_non_finite_tolerance_is_a_domain_error(capsys):
         code = main(["norm", "--space", "cesaro:p=2", "--vector", "[1]", "--tol", tol])
         assert code == 3
     assert "finite" in capsys.readouterr().err
+
+
+def test_cli_cesaro_extreme_magnitudes(capsys):
+    # The prefix-average norm of c e_1 is c sqrt(zeta(2)), at any scale c.
+    for c in (1e-200, 1e-160, 1e200):
+        assert main(["norm", "--space", "cesaro:p=2", "--vector", f"[{c!r}]"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["mid"] == pytest.approx(c * math.pi / math.sqrt(6.0), rel=1e-9, abs=0.0)
 
 
 def test_cli_bad_sparse_indices_are_parse_errors(capsys):
