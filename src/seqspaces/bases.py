@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ParseError
-from .norms import blocksum_norm, cesaro_norm, tandori_norm
+from .norms import _ABOVE_ONE, _ANY_P, _FINITE_P, blocksum_norm, cesaro_norm, tandori_norm
 from .series import Bracket
 from .vectors import CoeffVec, parse_vector_json
 
@@ -46,8 +46,7 @@ _ROWS_CAP = 1 << 14
 
 def conjugate(p: float) -> float:
     """The conjugate exponent q with 1/p + 1/q = 1, for p in [1, inf]."""
-    if math.isnan(p) or p < 1.0:
-        raise DomainError(f"conjugate exponent undefined for p = {p}")
+    _ANY_P.check(p, "exponent")
     if p == 1.0:
         return math.inf
     if math.isinf(p):
@@ -90,19 +89,14 @@ def _dual_scales(k: int, p: float) -> tuple[float, float]:
 
 def f_scale(k: int, p: float) -> float:
     """The normalizing scale of the k-th basis vector, close to k^{-1/p}."""
-    _check_basis_p(p)
+    _FINITE_P.check(p, "basis exponent")
     return _dual_scales(k, p)[0]
 
 
 def g_scale(k: int, p: float) -> float:
     """The functional scale of the k-th basis vector, close to k^{1/p}."""
-    _check_basis_p(p)
+    _FINITE_P.check(p, "basis exponent")
     return _dual_scales(k, p)[1]
-
-
-def _check_basis_p(p: float) -> None:
-    if math.isnan(p) or not (1.0 <= p < math.inf):
-        raise DomainError(f"basis exponent must be in [1, inf), got {p}")
 
 
 def f_coeffs_to_raw(a: CoeffVec, p: float) -> CoeffVec:
@@ -110,16 +104,15 @@ def f_coeffs_to_raw(a: CoeffVec, p: float) -> CoeffVec:
 
     The entry at index k becomes a_k * f_scale(k, p).
     """
-    _check_basis_p(p)
+    _FINITE_P.check(p, "basis exponent")
     if a.is_zero():
         return a
-    scales = np.array([f_scale(int(k), p) for k in a.indices], dtype=np.float64)
+    scales = np.array([_dual_scales(int(k), p)[0] for k in a.indices], dtype=np.float64)
     return CoeffVec(a.indices, a.values * scales)
 
 
 def g_vector(k: int, p: float) -> CoeffVec:
     """The k-th coordinate functional's vector: a single entry near k^{1/p}."""
-    _check_basis_p(p)
     return CoeffVec.basis(k, g_scale(k, p))
 
 
@@ -138,8 +131,7 @@ def g_norm_in_cesaro(k: int, p_prime: float, tol: float = 1e-9) -> Bracket:
 
     Requires p' in (1, inf]; the functional scale uses p = conjugate(p').
     """
-    if math.isnan(p_prime) or not (1.0 < p_prime):
-        raise DomainError(f"conjugate exponent must be in (1, inf], got {p_prime}")
+    _ABOVE_ONE.check(p_prime, "conjugate exponent")
     p = conjugate(p_prime)
     return cesaro_norm(g_vector(k, p), p_prime, tol)
 
@@ -178,15 +170,9 @@ class LayeredVec:
                     raise DomainError("rows must hold coefficient vectors")
                 prev = n
 
-    def n_rows(self) -> int:
-        if self.raw is not None:
-            return self.raw.support_max
-        return 0 if not self.rows else self.rows[-1][0]
-
     def norm(self, p: float) -> float:
         """(sum over rows of sup^p)^{1/p}, p in [1, inf)."""
-        if math.isnan(p) or not (1.0 <= p < math.inf):
-            raise DomainError(f"layered norm exponent must be in [1, inf), got {p}")
+        _FINITE_P.check(p, "layered norm exponent")
         if self.raw is not None:
             # Row n's sup is the suffix max of |raw| from n on: the suffix-sup norm.
             return tandori_norm(self.raw, p)
@@ -249,7 +235,6 @@ def embed_tandori_lpc0(a: CoeffVec, p: float) -> LayeredVec:
     layered norm then reproduces the suffix-sup norm exactly: both sum the
     same multiset of suffix suprema.
     """
-    _check_basis_p(p)
     return LayeredVec(raw=f_coeffs_to_raw(a, p))
 
 
@@ -285,7 +270,7 @@ def tandori_vp_check(a: CoeffVec, p: float, tol: float = 1e-12) -> TandoriVpRepo
     coefficients with dyadic lengths, sup inside each block, l_p across
     blocks.  ``tol`` absorbs floating point rounding on the comparisons.
     """
-    _check_basis_p(p)
+    _FINITE_P.check(p, "basis exponent")
     if a.is_zero():
         raise DomainError("the two-sided comparison needs a nonzero vector")
     t = tandori_norm(f_coeffs_to_raw(a, p), p)

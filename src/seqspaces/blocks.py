@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError, ScanCapExceeded
 from .norms import (
+    _FINITE_P,
     SpaceSpec,
     garling_norm_runs,
     lorentz_norm_runs,
@@ -78,8 +79,7 @@ class BlockSystem:
     scan_cap: int = _DEFAULT_SCAN_CAP
 
     def __post_init__(self):
-        if not (1.0 <= self.p < math.inf):
-            raise DomainError(f"block system exponent must be in [1, inf), got {self.p}")
+        _FINITE_P.check(self.p, "block system exponent")
         if not (self.K > 1.0):
             raise DomainError(f"target constant must exceed 1, got {self.K}")
         pos = 1
@@ -181,8 +181,7 @@ def find_block_sizes(
     """
     if not (K > 1.0):
         raise DomainError(f"target constant must exceed 1, got {K}")
-    if not (1.0 <= p < math.inf):
-        raise DomainError(f"exponent must be in [1, inf), got {p}")
+    _FINITE_P.check(p, "exponent")
     if k_max < 1:
         raise DomainError("need at least one level")
     if scan_cap < 1:
@@ -233,8 +232,7 @@ def expand(bs: BlockSystem, A) -> RunVec:
 
 def wp_norm(A, p: float) -> float:
     """(sum over levels of max_i |a_i^{(k)}|^p)^{1/p}."""
-    if not (1.0 <= p < math.inf):
-        raise DomainError(f"exponent must be in [1, inf), got {p}")
+    _FINITE_P.check(p, "exponent")
     maxes = []
     for row in A:
         row = [abs(float(x)) for x in row]
@@ -405,8 +403,7 @@ def fdd_block_check(
     (||sum c_i z_i||, (sum |c_i|^p ||z_i||^p)^{1/p}); the two agree up to
     floating point rounding.
     """
-    if not (1.0 <= p < math.inf):
-        raise DomainError(f"outer exponent must be in [1, inf), got {p}")
+    _FINITE_P.check(p, "outer exponent")
     if len(c) != len(blocks):
         raise DomainError("one coefficient per block required")
     specs = [

@@ -16,17 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import f_coeffs_to_raw
+from .bases import tandori_vp_check
 from .errors import DomainError
 from .norms import (
     _FAMILIES,
     SpaceSpec,
-    blocksum_norm,
     lorentz_norm,
     lp_norm,
     norm,
     parse_space,
-    tandori_norm,
 )
 from .sampling import random_coeffvec, rng_for
 from .series import Bracket, zeta_bracket
@@ -354,12 +352,15 @@ class EquivReport:
         }
 
 
-def _is_dyadic_sup_blocksum(s: SpaceSpec) -> bool:
+def _vp_pair(tandori: SpaceSpec, blocks: SpaceSpec) -> bool:
+    """Whether the pair is a suffix-sup space and the dyadic sup-block space of its p."""
     return (
-        s.family == "blocksum"
-        and s.lengths == "dyadic"
-        and s.inner is not None
-        and math.isinf(s.inner)
+        tandori.family == "tandori"
+        and blocks.family == "blocksum"
+        and blocks.lengths == "dyadic"
+        and blocks.inner is not None
+        and math.isinf(blocks.inner)
+        and blocks.p == tandori.p
     )
 
 
@@ -381,11 +382,11 @@ def _certified_upper(src: SpaceSpec, dst: SpaceSpec):
     if src.family == "garling" and dst.family == "lorentz":
         if src.p == dst.p and src.weight.spec == dst.weight.spec:
             return 1.0, "increasing-subsequence sums never beat the sorted pairing"
-    if src.family == "tandori" and _is_dyadic_sup_blocksum(dst) and dst.p == src.p:
+    if _vp_pair(src, dst):
         return 2.0 ** (1.0 / src.p), (
             "suffix-sup norm of the expanded coefficients vs dyadic sup blocks: 2^{1/p}"
         )
-    if _is_dyadic_sup_blocksum(src) and dst.family == "tandori" and dst.p == src.p:
+    if _vp_pair(dst, src):
         return 72.0 ** (1.0 / dst.p), (
             "dyadic sup blocks vs suffix-sup norm of the expanded coefficients: 72^{1/p}"
         )
@@ -450,19 +451,15 @@ def estimate_equivalence(
     if strategy == "grid" and n > 4:
         raise DomainError("grid strategy supports n <= 4")
 
-    coeff_mode = (
-        src.family == "tandori" and _is_dyadic_sup_blocksum(dst) and dst.p == src.p
-    ) or (_is_dyadic_sup_blocksum(src) and dst.family == "tandori" and dst.p == src.p)
+    coeff_mode = _vp_pair(src, dst) or _vp_pair(dst, src)
 
     def ratio(t: tuple[float, ...]) -> float:
         v = CoeffVec.from_dense(t)
         if v.is_zero():
             return -math.inf
         if coeff_mode:
-            p = src.p if src.family == "tandori" else dst.p
-            t_norm = tandori_norm(f_coeffs_to_raw(v, p), p)
-            u_norm = blocksum_norm(v, "dyadic", math.inf, p)
-            return t_norm / u_norm if src.family == "tandori" else u_norm / t_norm
+            rep = tandori_vp_check(v, src.p)
+            return rep.t / rep.u if src.family == "tandori" else rep.u / rep.t
         num = norm(v, src).mid
         den = norm(v, dst).mid
         return num / den

@@ -16,6 +16,7 @@ explicit terms are needed for a given width.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,9 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = ["Bracket", "power_tail_bracket", "zeta_bracket"]
+
+_MAX_TERMS = 1 << 26  # explicit terms one tail bracket may sum
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -82,10 +86,11 @@ def _tail_bounds(p: float, m: int) -> tuple[float, float]:
 def power_tail_bracket(p: float, n: int, width: float = 1e-12) -> Bracket:
     """Bracket sum_{i > n} i^(-p) for p > 1 to the requested absolute width.
 
-    Terms from n+1 up to a moving frontier are summed explicitly (exactly
-    rounded via fsum); the remainder past the frontier is enclosed by the
-    integral bounds.  The frontier doubles until the enclosure is narrow
-    enough.
+    The frontier m doubles on the integral bounds alone until they enclose
+    the remainder past m narrowly enough; then the terms n+1..m are summed
+    once, exactly rounded via fsum, in chunks of 2^16.  A width that needs
+    more than 2^26 explicit terms is refused with DomainError before any
+    term is summed.
     """
     if p <= 1.0:
         raise DomainError(f"tail of sum i^(-p) diverges for p = {p}")
@@ -93,20 +98,20 @@ def power_tail_bracket(p: float, n: int, width: float = 1e-12) -> Bracket:
         raise DomainError("tail start must be nonnegative")
     if not (0 < width < math.inf):
         raise DomainError(f"bracket width target must be positive and finite, got {width}")
-    terms: list[float] = []
     m = max(n, 8)
-    if m > n:
-        terms.extend((np.arange(n + 1, m + 1, dtype=np.float64) ** (-p)).tolist())
-    for _ in range(64):
-        explicit = math.fsum(terms)
-        tlo, thi = _tail_bounds(p, m)
-        if thi - tlo <= width:
-            return Bracket(explicit + tlo, explicit + thi)
-        step = m  # double the explicit range
-        terms.extend((np.arange(m + 1, m + step + 1, dtype=np.float64) ** (-p)).tolist())
-        m += step
-    explicit = math.fsum(terms)
     tlo, thi = _tail_bounds(p, m)
+    while thi - tlo > width:
+        m *= 2
+        if m - n > _MAX_TERMS:
+            raise DomainError(
+                f"bracket width {width} for p = {p} needs more than {_MAX_TERMS} explicit terms"
+            )
+        tlo, thi = _tail_bounds(p, m)
+    chunks = (
+        (np.arange(k, min(k + _CHUNK, m + 1), dtype=np.float64) ** (-p)).tolist()
+        for k in range(n + 1, m + 1, _CHUNK)
+    )
+    explicit = math.fsum(itertools.chain.from_iterable(chunks))
     return Bracket(explicit + tlo, explicit + thi)
 
 

@@ -1,7 +1,11 @@
 """Named verification suites with machine-readable reports.
 
 Each suite runs a property set from one module against oracles, frozen
-constants, or closed-form bounds, and returns a SuiteReport.  Reports are
+constants, or closed-form bounds.  A suite is a function
+``fn(samples, seed, tol, **params) -> (failures, cases, stats, tolerances)``;
+``run_suite`` times it, sorts the failures and builds the SuiteReport, so a
+report is assembled in one place only.  Every failure record is built by
+``_failure`` as ``{"input", "expected", "observed"}``.  Reports are
 deterministic for a given seed and flags (wall time aside): every random
 case builds its own generator from (seed, case index), so evaluation order
 cannot leak into the output, and failures are sorted by their canonical
@@ -10,6 +14,7 @@ JSON encoding.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -31,6 +36,7 @@ from .blocks import (
     BlockSystem,
     averaging_projection,
     expand,
+    fdd_block_check,
     find_block_sizes,
     wp_equivalence_ratios,
 )
@@ -71,44 +77,12 @@ class SuiteReport:
     wall_time_s: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "cases": self.cases,
-            "failures": self.failures,
-            "stats": self.stats,
-            "seed": self.seed,
-            "samples": self.samples,
-            "tolerances": self.tolerances,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
+        return dataclasses.asdict(self)
 
 
-def _finish(
-    suite: str,
-    failures: list,
-    cases: int,
-    stats: dict,
-    seed: int,
-    samples: int,
-    tolerances: dict,
-    t0: float,
-) -> SuiteReport:
-    failures = sorted(failures, key=lambda f: json.dumps(f, sort_keys=True, default=str))
-    return SuiteReport(
-        suite=suite,
-        passed=not failures,
-        cases=cases,
-        failures=failures,
-        stats=stats,
-        seed=seed,
-        samples=samples,
-        tolerances=tolerances,
-        wall_time_s=round(time.perf_counter() - t0, 6),
-    )
+def _failure(inp, expected: str, observed) -> dict:
+    """One failure record: what was checked on which input, and what came out."""
+    return {"input": inp, "expected": expected, "observed": observed}
 
 
 def _rel(a: float, b: float) -> float:
@@ -116,16 +90,12 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
-def _vec_obj(v: CoeffVec):
-    return v.to_json_obj()
-
-
 # ---------------------------------------------------------------------------
 # oracle suites
 # ---------------------------------------------------------------------------
 
 
-def _suite_garling_oracle(samples: int, seed: int, tol: float, t0: float, **_):
+def _suite_garling_oracle(samples: int, seed: int, tol: float, **_):
     combos = [
         (Weight.harmonic(), 1.0),
         (Weight.harmonic(), 2.0),
@@ -142,23 +112,12 @@ def _suite_garling_oracle(samples: int, seed: int, tol: float, t0: float, **_):
             d = _rel(dp, bf)
             worst = max(worst, d)
             if d > tol:
-                failures.append(
-                    {
-                        "input": {"vector": _vec_obj(v), "weight": w.spec, "p": p},
-                        "expected": "dynamic program equals subset enumeration",
-                        "observed": {"dp": dp, "bruteforce": bf, "rel_diff": d},
-                    }
-                )
-    return _finish(
-        "garling-oracle",
-        failures,
-        cases,
-        {"max_rel_diff": worst},
-        seed,
-        samples,
-        {"rel": tol},
-        t0,
-    )
+                failures.append(_failure(
+                    {"vector": v.to_json_obj(), "weight": w.spec, "p": p},
+                    "dynamic program equals subset enumeration",
+                    {"dp": dp, "bruteforce": bf, "rel_diff": d},
+                ))
+    return failures, cases, {"max_rel_diff": worst}, {"rel": tol}
 
 
 def _permutation_lorentz(v: CoeffVec, w: Weight, p: float) -> float:
@@ -174,7 +133,7 @@ def _permutation_lorentz(v: CoeffVec, w: Weight, p: float) -> float:
     return best ** (1.0 / p)
 
 
-def _suite_lorentz_oracle(samples: int, seed: int, tol: float, t0: float, **_):
+def _suite_lorentz_oracle(samples: int, seed: int, tol: float, **_):
     combos = [(Weight.harmonic(), 1.0), (Weight.harmonic(), 2.0), (Weight.power(0.5), 1.5)]
     failures, worst = [], 0.0
     for j in range(samples):
@@ -185,23 +144,12 @@ def _suite_lorentz_oracle(samples: int, seed: int, tol: float, t0: float, **_):
         d = _rel(fast, slow)
         worst = max(worst, d)
         if d > tol:
-            failures.append(
-                {
-                    "input": {"vector": _vec_obj(v), "weight": w.spec, "p": p},
-                    "expected": "sorted pairing equals permutation maximum",
-                    "observed": {"sorted": fast, "permutations": slow, "rel_diff": d},
-                }
-            )
-    return _finish(
-        "lorentz-oracle",
-        failures,
-        samples,
-        {"max_rel_diff": worst},
-        seed,
-        samples,
-        {"rel": tol},
-        t0,
-    )
+            failures.append(_failure(
+                {"vector": v.to_json_obj(), "weight": w.spec, "p": p},
+                "sorted pairing equals permutation maximum",
+                {"sorted": fast, "permutations": slow, "rel_diff": d},
+            ))
+    return failures, samples, {"max_rel_diff": worst}, {"rel": tol}
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +159,7 @@ def _suite_lorentz_oracle(samples: int, seed: int, tol: float, t0: float, **_):
 _VP_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 
 
-def _suite_tandori_vp(samples: int, seed: int, tol: float, t0: float, **_):
+def _suite_tandori_vp(samples: int, seed: int, tol: float, **_):
     failures, cases = [], 0
     lo, hi = math.inf, -math.inf
     for p in _VP_EXPONENTS:
@@ -222,26 +170,15 @@ def _suite_tandori_vp(samples: int, seed: int, tol: float, t0: float, **_):
             lo = min(lo, rep.ratio)
             hi = max(hi, rep.ratio)
             if not rep.passed:
-                failures.append(
-                    {
-                        "input": {"coefficients": _vec_obj(a), "p": p},
-                        "expected": "t^p <= 2 u^p and u^p <= 72 t^p",
-                        "observed": rep.to_json_dict(),
-                    }
-                )
-    return _finish(
-        "tandori-vp",
-        failures,
-        cases,
-        {"min_ratio": lo, "max_ratio": hi},
-        seed,
-        samples,
-        {"rel": tol},
-        t0,
-    )
+                failures.append(_failure(
+                    {"coefficients": a.to_json_obj(), "p": p},
+                    "t^p <= 2 u^p and u^p <= 72 t^p",
+                    rep.to_json_dict(),
+                ))
+    return failures, cases, {"min_ratio": lo, "max_ratio": hi}, {"rel": tol}
 
 
-def _suite_embed_isometry(samples: int, seed: int, tol: float, t0: float, **_):
+def _suite_embed_isometry(samples: int, seed: int, tol: float, **_):
     failures, cases, worst = [], 0, 0.0
     for j in range(samples):
         p = _VP_EXPONENTS[j % len(_VP_EXPONENTS)]
@@ -254,13 +191,11 @@ def _suite_embed_isometry(samples: int, seed: int, tol: float, t0: float, **_):
         d = _rel(t, ln)
         worst = max(worst, d)
         if d > tol:
-            failures.append(
-                {
-                    "input": {"coefficients": _vec_obj(a), "p": p},
-                    "expected": "layered norm equals suffix-sup norm",
-                    "observed": {"layered": ln, "suffix_sup": t, "rel_diff": d},
-                }
-            )
+            failures.append(_failure(
+                {"coefficients": a.to_json_obj(), "p": p},
+                "layered norm equals suffix-sup norm",
+                {"layered": ln, "suffix_sup": t, "rel_diff": d},
+            ))
         if j % 8 == 0 and a.support_max <= 256:
             # Round trip through explicit rows: an independent evaluation path.
             rt = LayeredVec.from_json(lv.to_json()).norm(p)
@@ -268,26 +203,15 @@ def _suite_embed_isometry(samples: int, seed: int, tol: float, t0: float, **_):
             d2 = _rel(t, rt)
             worst = max(worst, d2)
             if d2 > tol:
-                failures.append(
-                    {
-                        "input": {"coefficients": _vec_obj(a), "p": p},
-                        "expected": "explicit-rows norm equals suffix-sup norm",
-                        "observed": {"roundtrip": rt, "suffix_sup": t, "rel_diff": d2},
-                    }
-                )
-    return _finish(
-        "embed-isometry",
-        failures,
-        cases,
-        {"max_rel_diff": worst},
-        seed,
-        samples,
-        {"rel": tol},
-        t0,
-    )
+                failures.append(_failure(
+                    {"coefficients": a.to_json_obj(), "p": p},
+                    "explicit-rows norm equals suffix-sup norm",
+                    {"roundtrip": rt, "suffix_sup": t, "rel_diff": d2},
+                ))
+    return failures, cases, {"max_rel_diff": worst}, {"rel": tol}
 
 
-def _suite_duality(samples: int, seed: int, tol: float, t0: float, **_):
+def _suite_duality(samples: int, seed: int, tol: float, **_):
     failures, cases = [], 0
     kmax = 100
     for p in _VP_EXPONENTS:
@@ -299,34 +223,21 @@ def _suite_duality(samples: int, seed: int, tol: float, t0: float, **_):
                 want = 1.0 if j == k else 0.0
                 cases += 1
                 if got != want:
-                    failures.append(
-                        {
-                            "input": {"j": j + 1, "k": k + 1, "p": p},
-                            "expected": f"pairing == {want} exactly",
-                            "observed": {"pairing": got},
-                        }
-                    )
+                    failures.append(_failure(
+                        {"j": j + 1, "k": k + 1, "p": p},
+                        f"pairing == {want} exactly",
+                        {"pairing": got},
+                    ))
     for k, anchor in ((1, _SQRT_ZETA2), (4, _G4_CES2)):
         br = g_norm_in_cesaro(k, 2.0, tol=1e-9)
         cases += 1
         if not (br.contains(anchor) and br.width <= 1e-9 * br.mid):
-            failures.append(
-                {
-                    "input": {"k": k, "p_prime": 2.0},
-                    "expected": f"bracket contains {anchor} with relative width <= 1e-9",
-                    "observed": br.to_json_dict(),
-                }
-            )
-    return _finish(
-        "duality",
-        failures,
-        cases,
-        {"kmax": float(kmax)},
-        seed,
-        samples,
-        {"pairing": 0.0, "bracket_rel_width": 1e-9},
-        t0,
-    )
+            failures.append(_failure(
+                {"k": k, "p_prime": 2.0},
+                f"bracket contains {anchor} with relative width <= 1e-9",
+                br.to_json_dict(),
+            ))
+    return failures, cases, {"kmax": float(kmax)}, {"pairing": 0.0, "bracket_rel_width": 1e-9}
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +245,7 @@ def _suite_duality(samples: int, seed: int, tol: float, t0: float, **_):
 # ---------------------------------------------------------------------------
 
 
-def _suite_holder(samples: int, seed: int, tol: float, t0: float, **_):
+def _suite_holder(samples: int, seed: int, tol: float, **_):
     failures, cases = [], 0
     w = Weight.harmonic()
     anchors = {(1.0, 2.0): (_ZETA2, _SQRT_ZETA2), (1.0, 1.5): (_ZETA3, _ZETA3 ** (1.0 / 3.0))}
@@ -351,24 +262,13 @@ def _suite_holder(samples: int, seed: int, tol: float, t0: float, **_):
             and not rep.truncated
         )
         if not ok:
-            failures.append(
-                {
-                    "input": {"weight": w.spec, "p": p, "q": q},
-                    "expected": "series bracket around the zeta anchor, C certified, "
-                    "no sampled violations",
-                    "observed": rep.to_json_dict(),
-                }
-            )
-    return _finish(
-        "holder",
-        failures,
-        cases,
-        {"max_lhs_over_bound": worst},
-        seed,
-        samples,
-        {"bracket_width": 1e-9, "inequality_rel_slack": 1e-10},
-        t0,
-    )
+            failures.append(_failure(
+                {"weight": w.spec, "p": p, "q": q},
+                "series bracket around the zeta anchor, C certified, no sampled violations",
+                rep.to_json_dict(),
+            ))
+    tolerances = {"bracket_width": 1e-9, "inequality_rel_slack": 1e-10}
+    return failures, cases, {"max_lhs_over_bound": worst}, tolerances
 
 
 # ---------------------------------------------------------------------------
@@ -376,65 +276,45 @@ def _suite_holder(samples: int, seed: int, tol: float, t0: float, **_):
 # ---------------------------------------------------------------------------
 
 
-def _build_system(weight: str, p: float, K: float, levels: int, scan_cap) -> BlockSystem:
-    w = make_weight(weight)
+def _block_system(
+    weight: str = "harmonic", p: float = 1.0, K: float = 1.5, levels: int = 5, scan_cap=None, **_
+) -> BlockSystem:
+    """The block system the block suites run on; params they do not name are ignored."""
     kwargs = {} if scan_cap is None else {"scan_cap": int(scan_cap)}
-    return find_block_sizes(w, p, K, levels, **kwargs)
+    return find_block_sizes(make_weight(weight), p, K, levels, **kwargs)
 
 
-def _suite_blocks_linf(
-    samples: int,
-    seed: int,
-    tol: float,
-    t0: float,
-    weight: str = "harmonic",
-    p: float = 1.0,
-    K: float = 1.5,
-    levels: int = 5,
-    scan_cap=None,
-    **_,
-):
-    bs = _build_system(weight, p, K, levels, scan_cap)
+def _suite_blocks_linf(samples: int, seed: int, tol: float, **params):
+    bs = _block_system(**params)
     w = bs.weight
     failures, cases = [], 0
     max_cert = 0.0
     for lvl in bs.levels:
         k, M = lvl.k, lvl.M
+        level = {"level": k, "M": M}
         cert = bs.certificate(k)
         max_cert = max(max_cert, cert)
         cases += 1
         if not (cert <= bs.K * (1.0 + tol)):
-            failures.append(
-                {
-                    "input": {"level": k, "M": M},
-                    "expected": f"certificate <= K = {bs.K}",
-                    "observed": {"certificate": cert},
-                }
-            )
+            failures.append(_failure(level, f"certificate <= K = {bs.K}", {"certificate": cert}))
         if M > 1:
             cases += 1
             prev = (w.prefix_sum(k * (M - 1)) / w.prefix_sum(M - 1)) ** (1.0 / bs.p)
             if not (prev > bs.K):
-                failures.append(
-                    {
-                        "input": {"level": k, "M": M},
-                        "expected": "ratio at M-1 exceeds K (minimality)",
-                        "observed": {"ratio_at_M_minus_1": prev},
-                    }
-                )
+                failures.append(_failure(
+                    level, "ratio at M-1 exceeds K (minimality)", {"ratio_at_M_minus_1": prev}
+                ))
         # The certificate must equal the Lorentz norm of the all-ones level.
         ones = [[0.0]] * (k - 1) + [[1.0] * k]
         ln = lorentz_norm_runs(expand(bs, ones), w, bs.p)
         cases += 1
         d = _rel(ln, cert)
         if d > tol:
-            failures.append(
-                {
-                    "input": {"level": k, "M": M},
-                    "expected": "all-ones Lorentz norm equals the certificate",
-                    "observed": {"lorentz": ln, "certificate": cert, "rel_diff": d},
-                }
-            )
+            failures.append(_failure(
+                level,
+                "all-ones Lorentz norm equals the certificate",
+                {"lorentz": ln, "certificate": cert, "rel_diff": d},
+            ))
         # Normalizer cross-check under the order-sensitive norm (dense path).
         if M <= 4096:
             block = CoeffVec(np.arange(lvl.start, lvl.start + M), np.ones(M))
@@ -442,13 +322,11 @@ def _suite_blocks_linf(
             cases += 1
             d = _rel(gn, lvl.c)
             if d > tol:
-                failures.append(
-                    {
-                        "input": {"level": k, "M": M},
-                        "expected": "constant block has the same Garling and Lorentz norm",
-                        "observed": {"garling": gn, "c": lvl.c, "rel_diff": d},
-                    }
-                )
+                failures.append(_failure(
+                    level,
+                    "constant block has the same Garling and Lorentz norm",
+                    {"garling": gn, "c": lvl.c, "rel_diff": d},
+                ))
         # 1-domination of the sup of coefficients within the level.
         for j in range(min(samples, 50)):
             rng = rng_for(seed, 1000 * k + j)
@@ -458,66 +336,35 @@ def _suite_blocks_linf(
             ln = lorentz_norm_runs(expand(bs, [[0.0]] * (k - 1) + [a.tolist()]), w, bs.p)
             cases += 1
             if ln < float(np.max(np.abs(a))) * (1.0 - tol):
-                failures.append(
-                    {
-                        "input": {"level": k, "coefficients": a.tolist()},
-                        "expected": "norm of the combination dominates max |a_i|",
-                        "observed": {"norm": ln, "max_abs": float(np.max(np.abs(a)))},
-                    }
-                )
+                failures.append(_failure(
+                    {"level": k, "coefficients": a.tolist()},
+                    "norm of the combination dominates max |a_i|",
+                    {"norm": ln, "max_abs": float(np.max(np.abs(a)))},
+                ))
     stats = {
         "max_certificate": max_cert,
         "block_sizes": [float(lvl.M) for lvl in bs.levels],
     }
-    return _finish(
-        "blocks-linf", failures, cases, stats, seed, samples, {"rel": tol}, t0
-    )
+    return failures, cases, stats, {"rel": tol}
 
 
-def _suite_blocks_wp(
-    samples: int,
-    seed: int,
-    tol: float,
-    t0: float,
-    weight: str = "harmonic",
-    p: float = 1.0,
-    K: float = 1.5,
-    levels: int = 5,
-    scan_cap=None,
-    space: str | None = None,
-    **_,
-):
-    bs = _build_system(weight, p, K, levels, scan_cap)
-    rep = wp_equivalence_ratios(bs, space or "lorentz", samples=samples, seed=seed)
+def _suite_blocks_wp(samples: int, seed: int, tol: float, **params):
+    bs = _block_system(**params)
+    rep = wp_equivalence_ratios(bs, params.get("space") or "lorentz", samples=samples, seed=seed)
     failures = []
     if not rep.passed:
-        failures.append(
-            {
-                "input": {"system": bs.to_json_dict(), "space": rep.space},
-                "expected": f"max ratio <= K = {bs.K}",
-                "observed": {"min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio,
-                             "max_witness": rep.max_witness},
-            }
-        )
+        failures.append(_failure(
+            {"system": bs.to_json_dict(), "space": rep.space},
+            f"max ratio <= K = {bs.K}",
+            {"min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio,
+             "max_witness": rep.max_witness},
+        ))
     stats = {"min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio}
-    return _finish(
-        "blocks-wp", failures, rep.cases, stats, seed, samples, {"rel": 1e-12}, t0
-    )
+    return failures, rep.cases, stats, {"rel": 1e-12}
 
 
-def _suite_projection(
-    samples: int,
-    seed: int,
-    tol: float,
-    t0: float,
-    weight: str = "harmonic",
-    p: float = 1.0,
-    K: float = 1.5,
-    levels: int = 5,
-    scan_cap=None,
-    **_,
-):
-    bs = _build_system(weight, p, K, levels, scan_cap)
+def _suite_projection(samples: int, seed: int, tol: float, **params):
+    bs = _block_system(**params)
     w = bs.weight
     failures, cases = [], 0
     hi_d, hi_g = 0.0, 0.0
@@ -538,13 +385,11 @@ def _suite_projection(
             and px.values.tolist() == x.values.tolist()
         )
         if not same:
-            failures.append(
-                {
-                    "input": {"coefficients": rows},
-                    "expected": "projection is the identity on its range",
-                    "observed": {"differs": True},
-                }
-            )
+            failures.append(_failure(
+                {"coefficients": rows},
+                "projection is the identity on its range",
+                {"differs": True},
+            ))
 
     for j in range(samples):
         x = random_coeffvec(rng_for(seed, j), max_support=40, max_index=span + 20)
@@ -559,48 +404,30 @@ def _suite_projection(
                 scale = float(np.max(np.abs(px.values)))
                 dd = float(np.max(np.abs(px.values - ppx.values))) / max(scale, 1e-300)
             if dd > tol:
-                failures.append(
-                    {
-                        "input": {"vector": _vec_obj(x)},
-                        "expected": "P(Px) == Px",
-                        "observed": {"rel_diff": dd},
-                    }
-                )
+                failures.append(_failure({"vector": x.to_json_obj()}, "P(Px) == Px", {"rel_diff": dd}))
         xd = lorentz_norm(x, w, bs.p)
         pd = lorentz_norm_runs(px, w, bs.p)
         rd = pd / xd
         hi_d = max(hi_d, rd)
         if rd > 1.0 + 1e-9:
-            failures.append(
-                {
-                    "input": {"vector": _vec_obj(x)},
-                    "expected": "projection does not expand the rearranged weighted norm",
-                    "observed": {"ratio": rd},
-                }
-            )
+            failures.append(_failure(
+                {"vector": x.to_json_obj()},
+                "projection does not expand the rearranged weighted norm",
+                {"ratio": rd},
+            ))
         xg = garling_norm(x, w, bs.p)
         pg = garling_norm(px.to_coeffvec(), w, bs.p) if not px.is_zero() else 0.0
         rg = pg / xg
         hi_g = max(hi_g, rg)
         if rg > 2.0 + 1e-9:
-            failures.append(
-                {
-                    "input": {"vector": _vec_obj(x)},
-                    "expected": "projection expands the subsequence norm by at most 2",
-                    "observed": {"ratio": rg},
-                }
-            )
+            failures.append(_failure(
+                {"vector": x.to_json_obj()},
+                "projection expands the subsequence norm by at most 2",
+                {"ratio": rg},
+            ))
     stats = {"max_ratio_lorentz": hi_d, "max_ratio_garling": hi_g}
-    return _finish(
-        "projection",
-        failures,
-        cases,
-        stats,
-        seed,
-        samples,
-        {"idempotence_rel": tol, "lorentz_ratio": 1.0 + 1e-9, "garling_ratio": 2.0 + 1e-9},
-        t0,
-    )
+    tolerances = {"idempotence_rel": tol, "lorentz_ratio": 1.0 + 1e-9, "garling_ratio": 2.0 + 1e-9}
+    return failures, cases, stats, tolerances
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +444,7 @@ _FDD_POOL = (
 )
 
 
-def _suite_fdd(samples: int, seed: int, tol: float, t0: float, **_):
-    from .blocks import fdd_block_check
-
+def _suite_fdd(samples: int, seed: int, tol: float, **_):
     failures, cases, worst = [], 0, 0.0
 
     def check(blocks, comps, p, c, label):
@@ -629,13 +454,9 @@ def _suite_fdd(samples: int, seed: int, tol: float, t0: float, **_):
         d = _rel(lhs, rhs)
         worst = max(worst, d)
         if d > tol:
-            failures.append(
-                {
-                    "input": label,
-                    "expected": "direct-sum identity holds",
-                    "observed": {"lhs": lhs, "rhs": rhs, "rel_diff": d},
-                }
-            )
+            failures.append(_failure(
+                label, "direct-sum identity holds", {"lhs": lhs, "rhs": rhs, "rel_diff": d}
+            ))
 
     # Two blocks of component norms 1 and 2, p = 2: both sides sqrt(5).
     comps = [("lp:p=1", 2), ("lp:p=1", 3)]
@@ -670,9 +491,7 @@ def _suite_fdd(samples: int, seed: int, tol: float, t0: float, **_):
             cs.append(float(rng.uniform(-2.0, 2.0)) or 1.0)
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
         check(blocks, comps, p, cs, {"case": j, "components": comps, "p": p})
-    return _finish(
-        "fdd", failures, cases, {"max_rel_diff": worst}, seed, samples, {"rel": tol}, t0
-    )
+    return failures, cases, {"max_rel_diff": worst}, {"rel": tol}
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +512,7 @@ _AXIOM_POOL = (
 )
 
 
-def _suite_norm_axioms(samples: int, seed: int, tol: float, t0: float, **_):
+def _suite_norm_axioms(samples: int, seed: int, tol: float, **_):
     failures, cases = [], 0
     for j in range(samples):
         spec = parse_space(_AXIOM_POOL[j % len(_AXIOM_POOL)])
@@ -708,51 +527,36 @@ def _suite_norm_axioms(samples: int, seed: int, tol: float, t0: float, **_):
         cases += 1
         slack = tol * max(nu.mid * c, 1.0) + c * nu.width + nc.width
         if abs(nc.mid - c * nu.mid) > slack:
-            failures.append(
-                {
-                    "input": {"space": spec.spec, "vector": _vec_obj(u), "c": c},
-                    "expected": "norm(c v) == c norm(v)",
-                    "observed": {"lhs": nc.mid, "rhs": c * nu.mid},
-                }
-            )
+            failures.append(_failure(
+                {"space": spec.spec, "vector": u.to_json_obj(), "c": c},
+                "norm(c v) == c norm(v)",
+                {"lhs": nc.mid, "rhs": c * nu.mid},
+            ))
         # Triangle inequality.
         ns = norm(add_coeffvecs([(1.0, u), (1.0, v)]), spec)
         cases += 1
         bound = nu.hi + nv.hi
         if ns.lo > bound * (1.0 + tol):
-            failures.append(
-                {
-                    "input": {"space": spec.spec, "u": _vec_obj(u), "v": _vec_obj(v)},
-                    "expected": "norm(u + v) <= norm(u) + norm(v)",
-                    "observed": {"lhs": ns.lo, "rhs": bound},
-                }
-            )
+            failures.append(_failure(
+                {"space": spec.spec, "u": u.to_json_obj(), "v": v.to_json_obj()},
+                "norm(u + v) <= norm(u) + norm(v)",
+                {"lhs": ns.lo, "rhs": bound},
+            ))
         # Absoluteness: sign flips leave the norm bit-identical.
         flips = rng.choice([-1.0, 1.0], size=len(u))
         uf = CoeffVec(u.indices, u.values * flips)
         nf = norm(uf, spec)
         cases += 1
         if not (nf.lo == nu.lo and nf.hi == nu.hi):
-            failures.append(
-                {
-                    "input": {"space": spec.spec, "vector": _vec_obj(u)},
-                    "expected": "sign flips leave the norm unchanged exactly",
-                    "observed": {"flipped": nf.to_json_dict(), "plain": nu.to_json_dict()},
-                }
-            )
-    return _finish(
-        "norm-axioms",
-        failures,
-        cases,
-        {},
-        seed,
-        samples,
-        {"rel": tol, "absoluteness": 0.0},
-        t0,
-    )
+            failures.append(_failure(
+                {"space": spec.spec, "vector": u.to_json_obj()},
+                "sign flips leave the norm unchanged exactly",
+                {"flipped": nf.to_json_dict(), "plain": nu.to_json_dict()},
+            ))
+    return failures, cases, {}, {"rel": tol, "absoluteness": 0.0}
 
 
-def _suite_weight_profiles(samples: int, seed: int, tol: float, t0: float, **_):
+def _suite_weight_profiles(samples: int, seed: int, tol: float, **_):
     failures, cases = [], 0
     horizon = 1 << 16
 
@@ -764,51 +568,36 @@ def _suite_weight_profiles(samples: int, seed: int, tol: float, t0: float, **_):
         and float(ratios.min()) < 1.07
         and bool(np.all(np.diff(ratios) < 0.0))
     ):
-        failures.append(
-            {
-                "input": {"weight": "harmonic", "condition": "nuc", "N": horizon},
-                "expected": "ratios strictly decreasing with min < 1.07",
-                "observed": {"min_ratio": float(ratios.min()), "verdict": nuc_h.verdict},
-            }
-        )
+        failures.append(_failure(
+            {"weight": "harmonic", "condition": "nuc", "N": horizon},
+            "ratios strictly decreasing with min < 1.07",
+            {"min_ratio": float(ratios.min()), "verdict": nuc_h.verdict},
+        ))
 
     nuc_p = check_nuc(Weight.power(0.5), horizon)
     cases += 1
     target = 2.0**0.5
     if not (abs(nuc_p.extremum - target) < 0.01 and nuc_p.verdict != "consistent"):
-        failures.append(
-            {
-                "input": {"weight": "power:a=0.5", "condition": "nuc", "N": horizon},
-                "expected": "min ratio within 0.01 of sqrt(2); flat limit never reached",
-                "observed": {"min_ratio": nuc_p.extremum, "verdict": nuc_p.verdict},
-            }
-        )
+        failures.append(_failure(
+            {"weight": "power:a=0.5", "condition": "nuc", "N": horizon},
+            "min ratio within 0.01 of sqrt(2); flat limit never reached",
+            {"min_ratio": nuc_p.extremum, "verdict": nuc_p.verdict},
+        ))
 
     tsb = check_2sb(Weight.harmonic(), 100)
     cases += 1
     if not (tsb.extremum == 1.0 and tuple(tsb.arg_extremum) == (1, 1)):
-        failures.append(
-            {
-                "input": {"weight": "harmonic", "condition": "2sb", "N": 100},
-                "expected": "sup of S(nk)/(S(n)S(k)) equals 1 exactly, at (1,1)",
-                "observed": {"sup": tsb.extremum, "arg": list(tsb.arg_extremum)},
-            }
-        )
+        failures.append(_failure(
+            {"weight": "harmonic", "condition": "2sb", "N": 100},
+            "sup of S(nk)/(S(n)S(k)) equals 1 exactly, at (1,1)",
+            {"sup": tsb.extremum, "arg": list(tsb.arg_extremum)},
+        ))
     stats = {
         "harmonic_nuc_min": float(ratios.min()),
         "power_nuc_min": nuc_p.extremum,
         "harmonic_2sb_sup": tsb.extremum,
     }
-    return _finish(
-        "weight-profiles",
-        failures,
-        cases,
-        stats,
-        seed,
-        samples,
-        {"nuc_power_abs": 0.01, "2sb": 0.0},
-        t0,
-    )
+    return failures, cases, stats, {"nuc_power_abs": 0.01, "2sb": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -834,7 +623,7 @@ SUITE_NAMES = tuple(sorted(_SUITES))
 
 
 def run_suite(name: str, samples: int | None = None, seed: int = 0, tol: float | None = None, **params) -> SuiteReport:
-    """Run a named suite; None samples/tol pick the suite's defaults.
+    """Run a named suite and build its report; None samples/tol pick the suite's defaults.
 
     Extra keyword params (weight, p, K, levels, scan_cap, space) configure
     the block-system suites and are ignored elsewhere.
@@ -842,9 +631,22 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, tol: float |
     if name not in _SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
     fn, d_samples, d_tol = _SUITES[name]
-    eff_samples = d_samples if samples is None else int(samples)
-    eff_tol = d_tol if tol is None else float(tol)
-    if eff_samples < 0:
+    samples = d_samples if samples is None else int(samples)
+    tol = d_tol if tol is None else float(tol)
+    if samples < 0:
         raise DomainError("sample count must be nonnegative")
+    seed = int(seed)
     t0 = time.perf_counter()
-    return fn(eff_samples, int(seed), eff_tol, t0, **params)
+    failures, cases, stats, tolerances = fn(samples, seed, tol, **params)
+    failures.sort(key=lambda f: json.dumps(f, sort_keys=True, default=str))
+    return SuiteReport(
+        suite=name,
+        passed=not failures,
+        cases=cases,
+        failures=failures,
+        stats=stats,
+        seed=seed,
+        samples=samples,
+        tolerances=tolerances,
+        wall_time_s=round(time.perf_counter() - t0, 6),
+    )

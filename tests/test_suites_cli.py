@@ -47,6 +47,11 @@ def test_suite_failure_reporting():
     enc = [json.dumps(f, sort_keys=True, default=str) for f in rep.failures]
     assert enc == sorted(enc)
     json.dumps(rep.to_json_dict())
+    assert (rep.seed, rep.samples) == (0, 3)
+    other = run_suite("tandori-vp", samples=2, seed=7, tol=-1.0)
+    assert not other.passed and (other.seed, other.samples) == (7, 2)
+    for f in rep.failures + other.failures:
+        assert set(f) == {"input", "expected", "observed"}
 
 
 def test_cli_norm(capsys):
@@ -169,6 +174,25 @@ def test_cli_blocks_scan_cap(capsys):
 def test_cli_bad_system_file(capsys):
     assert main(["blocks", "verify", "--system", "/no/such/file.json"]) == 2
     capsys.readouterr()
+
+
+def test_cli_tiny_tolerance_is_bounded():
+    # A tolerance far below what float64 can certify must end in an answer or
+    # a domain error, in bounded memory and time, never in a traceback.
+    import resource
+
+    limit = 1536 << 20
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "seqspaces", "norm", "--space", "cesaro:p=2",
+         "--vector", "[1]", "--tol", "1e-300"],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+    )
+    assert res.returncode in (0, 3), res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_module_entry_point():
