@@ -15,7 +15,6 @@ norm with the dyadic block sup norm.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, ParseError
+from .jsonio import JsonRecord, dumps, json_key, load_json
 from .norms import _ABOVE_ONE, _ANY_P, _FINITE_P, blocksum_norm, cesaro_norm, tandori_norm
 from .series import Bracket
 from .vectors import CoeffVec, parse_vector_json
@@ -205,10 +205,11 @@ class LayeredVec:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
+        return dumps(self)
 
     @staticmethod
-    def from_json_obj(obj) -> "LayeredVec":
+    def from_json(text: str) -> "LayeredVec":
+        obj = load_json(text, "layered vector JSON")
         if not isinstance(obj, dict) or set(obj) != {"rows"}:
             raise ParseError("layered vector JSON must be an object with a 'rows' key")
         rows = []
@@ -217,14 +218,6 @@ class LayeredVec:
                 raise ParseError("each row must be an object with keys 'n' and 'vector'")
             rows.append((int(item["n"]), parse_vector_json(item["vector"])))
         return LayeredVec(rows=tuple(rows))
-
-    @staticmethod
-    def from_json(text: str) -> "LayeredVec":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad layered vector JSON: {e}") from None
-        return LayeredVec.from_json_obj(obj)
 
 
 def embed_tandori_lpc0(a: CoeffVec, p: float) -> LayeredVec:
@@ -244,23 +237,14 @@ def embed_tandori_lpc0(a: CoeffVec, p: float) -> LayeredVec:
 
 
 @dataclass(frozen=True)
-class TandoriVpReport:
+class TandoriVpReport(JsonRecord):
     """Two-sided comparison of the suffix-sup and dyadic block norms."""
 
     p: float
-    t: float
-    u: float
+    t: float = json_key("suffix_sup_norm")
+    u: float = json_key("dyadic_block_norm")
     ratio: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "suffix_sup_norm": self.t,
-            "dyadic_block_norm": self.u,
-            "ratio": self.ratio,
-            "passed": self.passed,
-        }
 
 
 def tandori_vp_check(a: CoeffVec, p: float, tol: float = 1e-12) -> TandoriVpReport:

@@ -15,13 +15,13 @@ result for small systems.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParseError, ScanCapExceeded
+from .jsonio import JsonRecord, dumps, load_json
 from .norms import (
     _FINITE_P,
     SpaceSpec,
@@ -49,7 +49,7 @@ _DEFAULT_SCAN_CAP = 10**7
 
 
 @dataclass(frozen=True)
-class Level:
+class Level(JsonRecord):
     """One level: k blocks of size M starting at ``start``, normalizer c."""
 
     k: int
@@ -71,7 +71,7 @@ class Level:
 
 
 @dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(JsonRecord):
     weight: Weight
     p: float
     K: float
@@ -107,19 +107,8 @@ class BlockSystem:
         s1, sk = self.weight.prefix_sums([lvl.M, k * lvl.M])
         return float(sk / s1) ** (1.0 / self.p)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "weight": self.weight.spec,
-            "p": self.p,
-            "K": self.K,
-            "scan_cap": self.scan_cap,
-            "levels": [
-                {"k": l.k, "M": l.M, "start": l.start, "c": l.c} for l in self.levels
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return dumps(self)
 
     @staticmethod
     def from_json_dict(obj) -> "BlockSystem":
@@ -141,11 +130,7 @@ class BlockSystem:
 
     @staticmethod
     def from_json(text: str) -> "BlockSystem":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"bad block system JSON: {e}") from None
-        return BlockSystem.from_json_dict(obj)
+        return BlockSystem.from_json_dict(load_json(text, "block system JSON"))
 
 
 def _find_min_M(w: Weight, k: int, Kp: float, p: float, cap: int) -> int:
@@ -244,7 +229,7 @@ def wp_norm(A, p: float) -> float:
 
 
 @dataclass(frozen=True)
-class WpEquivReport:
+class WpEquivReport(JsonRecord):
     space: str
     samples: int
     seed: int
@@ -255,20 +240,6 @@ class WpEquivReport:
     max_witness: list
     K: float
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "space": self.space,
-            "samples": self.samples,
-            "seed": self.seed,
-            "cases": self.cases,
-            "min_ratio": self.min_ratio,
-            "max_ratio": self.max_ratio,
-            "min_witness": self.min_witness,
-            "max_witness": self.max_witness,
-            "K": self.K,
-            "passed": self.passed,
-        }
 
 
 def _sample_coeff_rows(bs: BlockSystem, rng: np.random.Generator) -> list[list[float]]:
@@ -406,9 +377,7 @@ def fdd_block_check(
     _FINITE_P.check(p, "outer exponent")
     if len(c) != len(blocks):
         raise DomainError("one coefficient per block required")
-    specs = [
-        s if isinstance(s, SpaceSpec) else parse_space(s) for s, _ in components
-    ]
+    specs = [parse_space(s) for s, _ in components]
     dims = [int(d) for _, d in components]
     if any(d < 1 for d in dims):
         raise DomainError("component dimensions must be positive")

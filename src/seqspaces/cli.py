@@ -13,30 +13,28 @@ verify          run a named verification suite
 
 All reports are JSON on stdout (sorted keys, two-space indent); diagnostics
 go to stderr.  Exit codes: 0 success, 1 a verification failed, 2 bad usage
-or unparsable input, 3 a domain error (including a scan cap overrun).
+or unparsable input, 3 a domain error, a scan cap overrun or any other error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .blocks import BlockSystem, averaging_projection, find_block_sizes, wp_equivalence_ratios
 from .constants import estimate_equivalence
 from .errors import DomainError, ParseError, ScanCapExceeded
+from .jsonio import dumps
 from .norms import norm, parse_space
 from .suites import SUITE_NAMES, run_suite
-from .vectors import DENSIFY_CAP, parse_vector_json
+from .vectors import parse_vector_json
 from .weights import check_2sb, check_nuc, check_summable, make_weight
 
 __all__ = ["main"]
 
 
 def _emit(obj, out: str | None = None) -> None:
-    if hasattr(obj, "to_json_dict"):
-        obj = obj.to_json_dict()
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    text = dumps(obj, indent=2)
     if out is None:
         print(text)
     else:
@@ -163,25 +161,14 @@ def _cmd_blocks_verify(args) -> int:
     certs_ok = all(c <= bs.K * (1.0 + 1e-12) for c in certs)
     rep = wp_equivalence_ratios(bs, args.space, samples=args.samples, seed=args.seed)
     passed = certs_ok and rep.passed
-    _emit({"certificates": certs, "certificates_ok": certs_ok, "wp": rep.to_json_dict(),
-           "passed": passed})
+    _emit({"certificates": certs, "certificates_ok": certs_ok, "wp": rep, "passed": passed})
     return 0 if passed else 1
 
 
 def _cmd_blocks_project(args) -> int:
     bs = BlockSystem.from_json(_read_source(args.system))
     vec = parse_vector_json(args.vector)
-    px = averaging_projection(bs, vec)
-    if px.support_max <= DENSIFY_CAP:
-        _emit(px.to_coeffvec().to_json_obj())
-    else:
-        _emit(
-            {
-                "starts": px.starts.tolist(),
-                "lengths": px.lengths.tolist(),
-                "values": px.values.tolist(),
-            }
-        )
+    _emit(averaging_projection(bs, vec))
     return 0
 
 
@@ -198,7 +185,7 @@ def _cmd_verify(args) -> int:
         scan_cap=args.scan_cap,
         space=args.space,
     )
-    _emit(rep.to_json_dict(), out=args.out)
+    _emit(rep, out=args.out)
     if not rep.passed:
         print(f"suite {rep.suite} failed on {len(rep.failures)} case(s)", file=sys.stderr)
         return 1
@@ -234,20 +221,23 @@ def main(argv=None) -> int:
         return 2
     except ScanCapExceeded as e:
         print(
-            json.dumps(
+            dumps(
                 {
                     "error": "scan cap exceeded",
                     "level": e.level,
                     "cap": e.cap,
                     "best_ratio": e.best_ratio,
-                },
-                sort_keys=True,
+                }
             ),
             file=sys.stderr,
         )
         return 3
     except DomainError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 3
+    except Exception as e:
+        # Anything else (MemoryError, OverflowError, ...): one stderr line, exit 3.
+        print(f"error: {type(e).__name__}: {e}".splitlines()[0], file=sys.stderr)
         return 3
 
 

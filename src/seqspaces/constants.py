@@ -18,6 +18,7 @@ import numpy as np
 
 from .bases import tandori_vp_check
 from .errors import DomainError
+from .jsonio import JsonRecord, json_key
 from .norms import (
     _FAMILIES,
     SpaceSpec,
@@ -48,7 +49,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class HolderReport:
+class HolderReport(JsonRecord):
     p: float
     q: float
     exponent: float  # the weight is summed to this power: q/(q-p)
@@ -60,21 +61,6 @@ class HolderReport:
     failures: int
     max_ratio: float  # largest observed lorentz/(C_hi * lq)
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "q": self.q,
-            "exponent": self.exponent,
-            "series": self.series.to_json_dict(),
-            "C": self.C.to_json_dict(),
-            "truncated": self.truncated,
-            "samples": self.samples,
-            "seed": self.seed,
-            "failures": self.failures,
-            "max_ratio": self.max_ratio,
-            "passed": self.passed,
-        }
 
 
 def holder_domination(
@@ -191,7 +177,7 @@ def unconditional_constant(
         raise DomainError(f"at most {_MAX_SECTION} vectors supported, got {n}")
     if any(v.is_zero() for v in vectors):
         raise DomainError("section contains a zero vector")
-    spec = parse_space(space) if isinstance(space, str) else space
+    spec = parse_space(space)
 
     tuples: list[list[float]] = [[1.0] * n]
     for i in range(n):
@@ -235,7 +221,7 @@ def unconditional_constant(
 
 
 @dataclass(frozen=True)
-class LinfEquivReport:
+class LinfEquivReport(JsonRecord):
     C: float  # seminormalization constant
     K: float  # unconditional constant
     M: float  # norm of the sum of the section
@@ -245,19 +231,6 @@ class LinfEquivReport:
     seed: int
     failures: int
     passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "C": self.C,
-            "K": self.K,
-            "M": self.M,
-            "bound": self.bound,
-            "bound_real": self.bound_real,
-            "samples": self.samples,
-            "seed": self.seed,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
 
 
 def linf_equiv_bound(
@@ -281,7 +254,7 @@ def linf_equiv_bound(
         raise DomainError("need at least one vector")
     if n > _MAX_SECTION:
         raise DomainError(f"at most {_MAX_SECTION} vectors supported, got {n}")
-    spec = parse_space(space) if isinstance(space, str) else space
+    spec = parse_space(space)
     norms = [norm(x, spec).mid for x in vectors]
     if min(norms) == 0.0:
         raise DomainError("section contains a zero vector")
@@ -325,9 +298,9 @@ _MAX_EQUIV_DIM = 2048  # the family strategy holds about 2n candidates of length
 
 
 @dataclass(frozen=True)
-class EquivReport:
-    from_spec: str
-    to_spec: str
+class EquivReport(JsonRecord):
+    from_spec: str = json_key("from")
+    to_spec: str = json_key("to")
     dim: int
     certified_upper: float | None
     provenance: str | None
@@ -336,20 +309,6 @@ class EquivReport:
     method: str
     samples: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "from": self.from_spec,
-            "to": self.to_spec,
-            "dim": self.dim,
-            "certified_upper": self.certified_upper,
-            "provenance": self.provenance,
-            "empirical_lower": self.empirical_lower,
-            "witness": self.witness.to_json_obj(),
-            "method": self.method,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
 
 
 def _vp_pair(tandori: SpaceSpec, blocks: SpaceSpec) -> bool:
@@ -440,8 +399,8 @@ def estimate_equivalence(
     coefficient vectors (the suffix-sup side expands them through the
     normalized basis first), matching how that band is defined.
     """
-    src = parse_space(from_space) if isinstance(from_space, str) else from_space
-    dst = parse_space(to_space) if isinstance(to_space, str) else to_space
+    src = parse_space(from_space)
+    dst = parse_space(to_space)
     if n < 1:
         raise DomainError("dimension must be >= 1")
     if n > _MAX_EQUIV_DIM:

@@ -189,8 +189,10 @@ def _parse_weighted_fields(body: str, allowed: tuple[str, ...], where: str) -> d
     return {"w": ",".join([first[2:]] + parts[1:-1]), "p": last[2:]}
 
 
-def parse_space(spec: str) -> SpaceSpec:
-    """Parse a space spec string (see the module docstring for the grammar)."""
+def parse_space(spec: str | SpaceSpec) -> SpaceSpec:
+    """Parse a space spec string (grammar in the module docstring); a SpaceSpec passes through."""
+    if isinstance(spec, SpaceSpec):
+        return spec
     if not isinstance(spec, str):
         raise ParseError("space spec must be a string")
     s = spec.strip()
@@ -455,7 +457,7 @@ def epw_norm(v: CoeffVec, n: int, p: float, w_scalar: float) -> float:
 
 def norm(v: CoeffVec, space: SpaceSpec | str, tol: float = 1e-9) -> Bracket:
     """Evaluate the norm of ``v`` in ``space``; exact families give [x, x]."""
-    s = parse_space(space) if isinstance(space, str) else space
+    s = parse_space(space)
     return _FAMILIES[s.family].evaluate(v, s, tol)
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .jsonio import JsonRecord
 
 __all__ = ["Bracket", "power_tail_bracket", "zeta_bracket"]
 
@@ -31,11 +32,12 @@ _CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class Bracket:
+class Bracket(JsonRecord):
     """A closed interval [lo, hi] certified to contain a real value."""
 
     lo: float
     hi: float
+    json_computed = ("mid",)
 
     def __post_init__(self):
         if not (self.lo <= self.hi):
@@ -69,9 +71,6 @@ class Bracket:
 
     def shifted(self, c: float) -> "Bracket":
         return Bracket(self.lo + c, self.hi + c)
-
-    def to_json_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "mid": self.mid}
 
 
 def _tail_bounds(p: float, m: int) -> tuple[float, float]:

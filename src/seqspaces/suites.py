@@ -14,9 +14,7 @@ JSON encoding.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -42,6 +40,7 @@ from .blocks import (
 )
 from .constants import holder_domination
 from .errors import DomainError
+from .jsonio import JsonRecord, dumps, encode
 from .norms import (
     garling_norm,
     garling_norm_bruteforce,
@@ -65,7 +64,7 @@ _G4_CES2 = 1.0655007381266617  # 2 * (zeta(2) - 1 - 1/4 - 1/9)^(1/2)
 
 
 @dataclass
-class SuiteReport:
+class SuiteReport(JsonRecord):
     suite: str
     passed: bool
     cases: int
@@ -76,13 +75,10 @@ class SuiteReport:
     tolerances: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def _failure(inp, expected: str, observed) -> dict:
     """One failure record: what was checked on which input, and what came out."""
-    return {"input": inp, "expected": expected, "observed": observed}
+    return {"input": encode(inp), "expected": expected, "observed": encode(observed)}
 
 
 def _rel(a: float, b: float) -> float:
@@ -113,7 +109,7 @@ def _suite_garling_oracle(samples: int, seed: int, tol: float, **_):
             worst = max(worst, d)
             if d > tol:
                 failures.append(_failure(
-                    {"vector": v.to_json_obj(), "weight": w.spec, "p": p},
+                    {"vector": v, "weight": w.spec, "p": p},
                     "dynamic program equals subset enumeration",
                     {"dp": dp, "bruteforce": bf, "rel_diff": d},
                 ))
@@ -145,7 +141,7 @@ def _suite_lorentz_oracle(samples: int, seed: int, tol: float, **_):
         worst = max(worst, d)
         if d > tol:
             failures.append(_failure(
-                {"vector": v.to_json_obj(), "weight": w.spec, "p": p},
+                {"vector": v, "weight": w.spec, "p": p},
                 "sorted pairing equals permutation maximum",
                 {"sorted": fast, "permutations": slow, "rel_diff": d},
             ))
@@ -171,9 +167,9 @@ def _suite_tandori_vp(samples: int, seed: int, tol: float, **_):
             hi = max(hi, rep.ratio)
             if not rep.passed:
                 failures.append(_failure(
-                    {"coefficients": a.to_json_obj(), "p": p},
+                    {"coefficients": a, "p": p},
                     "t^p <= 2 u^p and u^p <= 72 t^p",
-                    rep.to_json_dict(),
+                    rep,
                 ))
     return failures, cases, {"min_ratio": lo, "max_ratio": hi}, {"rel": tol}
 
@@ -183,16 +179,19 @@ def _suite_embed_isometry(samples: int, seed: int, tol: float, **_):
     for j in range(samples):
         p = _VP_EXPONENTS[j % len(_VP_EXPONENTS)]
         a = random_coeffvec(rng_for(seed, j), max_support=24, max_index=96)
-        raw = f_coeffs_to_raw(a, p)
-        t = tandori_norm(raw, p)
+        t = tandori_norm(f_coeffs_to_raw(a, p), p)
         lv = embed_tandori_lpc0(a, p)
-        ln = lv.norm(p)
+        # Row by row, independently of tandori_norm: row n is raw from index n
+        # on, so its sup is a row maximum of |raw| under the upper-triangular mask.
+        mag = np.abs(lv.raw.dense())
+        sups = np.where(np.tri(mag.size, k=-1, dtype=bool), 0.0, mag).max(axis=1)
+        ln = math.fsum(s**p for s in sups.tolist()) ** (1.0 / p)
         cases += 1
         d = _rel(t, ln)
         worst = max(worst, d)
         if d > tol:
             failures.append(_failure(
-                {"coefficients": a.to_json_obj(), "p": p},
+                {"coefficients": a, "p": p},
                 "layered norm equals suffix-sup norm",
                 {"layered": ln, "suffix_sup": t, "rel_diff": d},
             ))
@@ -204,7 +203,7 @@ def _suite_embed_isometry(samples: int, seed: int, tol: float, **_):
             worst = max(worst, d2)
             if d2 > tol:
                 failures.append(_failure(
-                    {"coefficients": a.to_json_obj(), "p": p},
+                    {"coefficients": a, "p": p},
                     "explicit-rows norm equals suffix-sup norm",
                     {"roundtrip": rt, "suffix_sup": t, "rel_diff": d2},
                 ))
@@ -235,7 +234,7 @@ def _suite_duality(samples: int, seed: int, tol: float, **_):
             failures.append(_failure(
                 {"k": k, "p_prime": 2.0},
                 f"bracket contains {anchor} with relative width <= 1e-9",
-                br.to_json_dict(),
+                br,
             ))
     return failures, cases, {"kmax": float(kmax)}, {"pairing": 0.0, "bracket_rel_width": 1e-9}
 
@@ -265,7 +264,7 @@ def _suite_holder(samples: int, seed: int, tol: float, **_):
             failures.append(_failure(
                 {"weight": w.spec, "p": p, "q": q},
                 "series bracket around the zeta anchor, C certified, no sampled violations",
-                rep.to_json_dict(),
+                rep,
             ))
     tolerances = {"bracket_width": 1e-9, "inequality_rel_slack": 1e-10}
     return failures, cases, {"max_lhs_over_bound": worst}, tolerances
@@ -354,7 +353,7 @@ def _suite_blocks_wp(samples: int, seed: int, tol: float, **params):
     failures = []
     if not rep.passed:
         failures.append(_failure(
-            {"system": bs.to_json_dict(), "space": rep.space},
+            {"system": bs, "space": rep.space},
             f"max ratio <= K = {bs.K}",
             {"min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio,
              "max_witness": rep.max_witness},
@@ -404,14 +403,14 @@ def _suite_projection(samples: int, seed: int, tol: float, **params):
                 scale = float(np.max(np.abs(px.values)))
                 dd = float(np.max(np.abs(px.values - ppx.values))) / max(scale, 1e-300)
             if dd > tol:
-                failures.append(_failure({"vector": x.to_json_obj()}, "P(Px) == Px", {"rel_diff": dd}))
+                failures.append(_failure({"vector": x}, "P(Px) == Px", {"rel_diff": dd}))
         xd = lorentz_norm(x, w, bs.p)
         pd = lorentz_norm_runs(px, w, bs.p)
         rd = pd / xd
         hi_d = max(hi_d, rd)
         if rd > 1.0 + 1e-9:
             failures.append(_failure(
-                {"vector": x.to_json_obj()},
+                {"vector": x},
                 "projection does not expand the rearranged weighted norm",
                 {"ratio": rd},
             ))
@@ -421,7 +420,7 @@ def _suite_projection(samples: int, seed: int, tol: float, **params):
         hi_g = max(hi_g, rg)
         if rg > 2.0 + 1e-9:
             failures.append(_failure(
-                {"vector": x.to_json_obj()},
+                {"vector": x},
                 "projection expands the subsequence norm by at most 2",
                 {"ratio": rg},
             ))
@@ -528,7 +527,7 @@ def _suite_norm_axioms(samples: int, seed: int, tol: float, **_):
         slack = tol * max(nu.mid * c, 1.0) + c * nu.width + nc.width
         if abs(nc.mid - c * nu.mid) > slack:
             failures.append(_failure(
-                {"space": spec.spec, "vector": u.to_json_obj(), "c": c},
+                {"space": spec.spec, "vector": u, "c": c},
                 "norm(c v) == c norm(v)",
                 {"lhs": nc.mid, "rhs": c * nu.mid},
             ))
@@ -538,7 +537,7 @@ def _suite_norm_axioms(samples: int, seed: int, tol: float, **_):
         bound = nu.hi + nv.hi
         if ns.lo > bound * (1.0 + tol):
             failures.append(_failure(
-                {"space": spec.spec, "u": u.to_json_obj(), "v": v.to_json_obj()},
+                {"space": spec.spec, "u": u, "v": v},
                 "norm(u + v) <= norm(u) + norm(v)",
                 {"lhs": ns.lo, "rhs": bound},
             ))
@@ -549,9 +548,9 @@ def _suite_norm_axioms(samples: int, seed: int, tol: float, **_):
         cases += 1
         if not (nf.lo == nu.lo and nf.hi == nu.hi):
             failures.append(_failure(
-                {"space": spec.spec, "vector": u.to_json_obj()},
+                {"space": spec.spec, "vector": u},
                 "sign flips leave the norm unchanged exactly",
-                {"flipped": nf.to_json_dict(), "plain": nu.to_json_dict()},
+                {"flipped": nf, "plain": nu},
             ))
     return failures, cases, {}, {"rel": tol, "absoluteness": 0.0}
 
@@ -638,7 +637,7 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, tol: float |
     seed = int(seed)
     t0 = time.perf_counter()
     failures, cases, stats, tolerances = fn(samples, seed, tol, **params)
-    failures.sort(key=lambda f: json.dumps(f, sort_keys=True, default=str))
+    failures.sort(key=dumps)
     return SuiteReport(
         suite=name,
         passed=not failures,

@@ -13,13 +13,13 @@ their rearrangement-invariant norms computable) only in run form.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, ParseError
+from .jsonio import load_json
 
 __all__ = ["CoeffVec", "RunVec", "add_coeffvecs", "parse_vector_json"]
 
@@ -215,6 +215,16 @@ class RunVec:
             pos += l
         return CoeffVec(idx, val)
 
+    def to_json_obj(self):
+        """The CoeffVec form up to the densification cap, the runs beyond it."""
+        if self.support_max <= DENSIFY_CAP:
+            return self.to_coeffvec().to_json_obj()
+        return {
+            "starts": self.starts.tolist(),
+            "lengths": self.lengths.tolist(),
+            "values": self.values.tolist(),
+        }
+
     @staticmethod
     def from_coeffvec(v: CoeffVec) -> "RunVec":
         """Collapse maximal constant consecutive stretches into runs."""
@@ -232,10 +242,7 @@ def parse_vector_json(text_or_obj) -> CoeffVec:
     """Parse the vector JSON forms: dense [..] or {"indices":[..],"values":[..]}."""
     obj = text_or_obj
     if isinstance(obj, (str, bytes)):
-        try:
-            obj = json.loads(obj)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"vector is not valid JSON: {e}") from None
+        obj = load_json(obj, "vector JSON")
     if isinstance(obj, list):
         try:
             return CoeffVec.from_dense([float(x) for x in obj])

@@ -24,7 +24,6 @@ a sup over all n; such cases are reported as *inconclusive* with a note.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -32,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParseError
+from .jsonio import JsonRecord, dumps, json_key, load_json
 
 __all__ = [
     "Weight",
@@ -210,7 +210,7 @@ class Weight:
             return "harmonic"
         if self.kind == "power":
             return f"power:a={self.a!r}"
-        return "explicit:" + json.dumps(self.data.tolist())
+        return "explicit:" + dumps(self.data.tolist())
 
     def __repr__(self) -> str:
         return f"Weight({self.spec})"
@@ -256,18 +256,12 @@ def make_weight(spec: str) -> Weight:
     if s.startswith("explicit:"):
         body = s[len("explicit:") :].strip()
         if body.startswith("["):
-            try:
-                arr = json.loads(body)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"bad explicit weight array: {e}") from None
+            arr = load_json(body, "explicit weight array")
         else:
             if not os.path.exists(body):
                 raise ParseError(f"explicit weight file not found: {body}")
             with open(body) as f:
-                try:
-                    arr = json.load(f)
-                except json.JSONDecodeError as e:
-                    raise ParseError(f"bad explicit weight file {body}: {e}") from None
+                arr = load_json(f.read(), f"explicit weight file {body}")
         if not isinstance(arr, list) or not arr:
             raise ParseError("explicit weight must be a nonempty JSON array")
         try:
@@ -278,46 +272,36 @@ def make_weight(spec: str) -> Weight:
 
 
 @dataclass
-class ConditionReport:
+class ConditionReport(JsonRecord):
     """Outcome of a finite-horizon weight-condition check."""
 
     condition: str
     params: dict
     horizon: int
-    profile_args: np.ndarray
-    profile_values: np.ndarray
+    profile_args: np.ndarray = json_key(None)
+    profile_values: np.ndarray = json_key(None)
     extremum: float
     arg_extremum: int | tuple[int, int]
     verdict: str  # consistent | violated | inconclusive
     note: str
+    json_computed = ("profile",)
+    profile_points = 129  # the printed profile samples this many points, plus the extremum
 
-    def sampled_profile(self, max_points: int = 129) -> list[list[float]]:
+    @property
+    def profile(self) -> list[list[float]]:
         """Geometrically subsampled profile, always including the extremum."""
         n = self.profile_args.shape[0]
         if n == 0:
             return []
-        if n <= max_points:
+        if n <= self.profile_points:
             sel = np.arange(n)
         else:
-            sel = np.unique(np.geomspace(1, n, max_points).astype(np.int64) - 1)
+            sel = np.unique(np.geomspace(1, n, self.profile_points).astype(np.int64) - 1)
         if isinstance(self.arg_extremum, int):
             hits = np.nonzero(self.profile_args == self.arg_extremum)[0]
             if hits.size:
                 sel = np.unique(np.append(sel, hits[0]))
         return [[int(self.profile_args[i]), float(self.profile_values[i])] for i in sel]
-
-    def to_json_dict(self) -> dict:
-        arg = self.arg_extremum
-        return {
-            "condition": self.condition,
-            "params": self.params,
-            "horizon": self.horizon,
-            "extremum": self.extremum,
-            "arg_extremum": list(arg) if isinstance(arg, tuple) else arg,
-            "verdict": self.verdict,
-            "note": self.note,
-            "profile": self.sampled_profile(),
-        }
 
 
 def check_nuc(w: Weight, horizon: int, slack: float = 0.1) -> ConditionReport:

@@ -1,0 +1,48 @@
+"""Byte-for-byte CLI stdout, frozen in tests/golden/.
+
+Each golden file is the stdout of one command, with the value of
+``wall_time_s`` replaced by 0.  Together they pin the report format (key
+names, key order, float text) of every subcommand; regenerate a file only
+for an intended change of output.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from seqspaces.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+SYSTEM = str(GOLDEN / "blocks_build.json")  # the blocks_build output, read back
+
+# name -> (exit code, argv)
+CASES = {
+    "norm_lorentz": (0, ["norm", "--space", "lorentz:w=harmonic,p=1", "--vector", "[3, 1, 2]"]),
+    "norm_cesaro": (0, ["norm", "--space", "cesaro:p=2", "--vector",
+                        '{"indices": [1, 5], "values": [1.0, -0.5]}', "--tol", "1e-12"]),
+    "weight_nuc": (0, ["weight", "check", "--weight", "harmonic", "--condition", "nuc",
+                       "--N", "4096"]),
+    "weight_2sb": (0, ["weight", "check", "--weight", "power:a=0.5", "--condition", "2sb",
+                       "--N", "64"]),
+    "weight_summable": (0, ["weight", "check", "--weight", "power:a=0.5", "--condition",
+                            "summable", "--N", "1000", "--r", "3"]),
+    "equiv_family": (0, ["equiv", "--from", "lp:p=1", "--to", "lorentz:w=harmonic,p=1",
+                         "--dim", "3", "--strategy", "family"]),
+    "equiv_certified": (0, ["equiv", "--from", "tandori:p=2", "--to",
+                            "blocksum:lengths=dyadic,inner=inf,outer=2", "--dim", "8"]),
+    "blocks_build": (0, ["blocks", "build", "--weight", "harmonic", "--p", "1", "--K", "1.5",
+                         "--levels", "4"]),
+    "blocks_verify": (0, ["blocks", "verify", "--system", SYSTEM, "--samples", "40"]),
+    "blocks_project": (0, ["blocks", "project", "--system", SYSTEM, "--vector", "[1, 1, 1]"]),
+    "verify_garling_oracle": (1, ["verify", "garling-oracle", "--samples", "3", "--tol", "-1"]),
+    "verify_tandori_vp": (1, ["verify", "tandori-vp", "--samples", "3", "--tol", "-1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_stdout(name, capsys):
+    code, argv = CASES[name]
+    assert main(argv) == code
+    out = re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0', capsys.readouterr().out)
+    assert out == (GOLDEN / f"{name}.json").read_text()

@@ -71,6 +71,7 @@ def test_parse_space_roundtrip():
         spec = parse_space(s)
         again = parse_space(spec.spec)
         assert again.spec == spec.spec
+        assert parse_space(spec) is spec  # a parsed spec passes through
 
 
 def test_parse_space_errors():
@@ -86,7 +87,7 @@ def test_parse_space_errors():
         "epw:n=4,p=1,w=zero",
         "lorentz:w=explicit:[1,0.5,p=1",  # unbalanced bracket
     ]
-    for s in bads:
+    for s in bads + [None, 2.0, b"lp:p=2"]:
         with pytest.raises(ParseError):
             parse_space(s)
 

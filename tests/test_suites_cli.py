@@ -18,6 +18,22 @@ def test_run_suite_unknown():
         run_suite("holder", samples=-1)
 
 
+def test_embed_isometry_detects_a_perturbed_suffix_sup_norm(monkeypatch):
+    # The layered side must not be tandori_norm itself: with tandori_norm off
+    # by 1e-9 relative everywhere, most cases must fail.
+    from seqspaces import bases, norms, suites
+
+    exact = norms.tandori_norm
+
+    def perturbed(v, p):
+        return exact(v, p) * (1.0 + 1e-9)
+
+    for mod in (norms, bases, suites):
+        monkeypatch.setattr(mod, "tandori_norm", perturbed)
+    rep = run_suite("embed-isometry", samples=400)
+    assert len(rep.failures) > rep.cases / 2
+
+
 def test_suite_report_shape():
     rep = run_suite("lorentz-oracle", samples=12, seed=3)
     assert rep.passed and rep.cases == 12 and rep.seed == 3
@@ -71,6 +87,16 @@ def test_cli_exit_codes(capsys):
     assert main(["weight", "check", "--weight", "harmonic",
                  "--condition", "nuc", "--N", "0"]) == 3
     capsys.readouterr()
+
+
+def test_cli_unexpected_errors_exit_3(capsys):
+    # Overflow inside a kernel is not a ParseError or DomainError; the CLI
+    # boundary still reports it on one stderr line with exit 3.
+    for space, vec in (("lp:p=1", "[1.7e308, 1.7e308]"), ("cesaro:p=2", "[1.7e308]")):
+        assert main(["norm", "--space", space, "--vector", vec]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_cli_non_finite_tolerance_is_a_domain_error(capsys):

@@ -80,7 +80,8 @@ def test_json_roundtrip():
 
 def test_parse_vector_errors():
     for bad in ("{", "[1, \"x\"]", '{"indices": [1]}', '{"indices": [1, 0], "values": [1, 2]}',
-                '{"indices": [1], "values": [1, 2]}', "3.5", '{"values": [1]}'):
+                '{"indices": [1], "values": [1, 2]}', "3.5", '{"values": [1]}',
+                "[" * 100_000):  # nesting too deep for the decoder
         with pytest.raises(ParseError):
             parse_vector_json(bad)
 
