@@ -25,7 +25,7 @@ from .errors import DomainError, ParseError
 from .jsonio import JsonRecord, dumps, json_key, load_json
 from .norms import _ABOVE_ONE, _ANY_P, _FINITE_P, blocksum_norm, cesaro_norm, tandori_norm
 from .series import Bracket
-from .vectors import CoeffVec, parse_vector_json
+from .vectors import CoeffVec, json_index, parse_vector_json
 
 __all__ = [
     "conjugate",
@@ -212,11 +212,13 @@ class LayeredVec:
         obj = load_json(text, "layered vector JSON")
         if not isinstance(obj, dict) or set(obj) != {"rows"}:
             raise ParseError("layered vector JSON must be an object with a 'rows' key")
+        if not isinstance(obj["rows"], list):
+            raise ParseError("layered vector 'rows' must be a list")
         rows = []
         for item in obj["rows"]:
             if not isinstance(item, dict) or set(item) != {"n", "vector"}:
                 raise ParseError("each row must be an object with keys 'n' and 'vector'")
-            rows.append((int(item["n"]), parse_vector_json(item["vector"])))
+            rows.append((json_index(item["n"], "row 'n'"), parse_vector_json(item["vector"])))
         return LayeredVec(rows=tuple(rows))
 
 

@@ -30,7 +30,7 @@ from .norms import (
     norm,
     parse_space,
 )
-from .vectors import CoeffVec, RunVec, add_coeffvecs
+from .vectors import CoeffVec, RunVec, add_coeffvecs, json_index
 from .weights import Weight, make_weight
 
 __all__ = [
@@ -115,7 +115,12 @@ class BlockSystem(JsonRecord):
         try:
             w = make_weight(obj["weight"])
             levels = tuple(
-                Level(k=int(l["k"]), M=int(l["M"]), start=int(l["start"]), c=float(l["c"]))
+                Level(
+                    k=json_index(l["k"], "level 'k'"),
+                    M=json_index(l["M"], "level 'M'"),
+                    start=json_index(l["start"], "level 'start'"),
+                    c=float(l["c"]),
+                )
                 for l in obj["levels"]
             )
             return BlockSystem(
@@ -123,7 +128,7 @@ class BlockSystem(JsonRecord):
                 p=float(obj["p"]),
                 K=float(obj["K"]),
                 levels=levels,
-                scan_cap=int(obj.get("scan_cap", _DEFAULT_SCAN_CAP)),
+                scan_cap=json_index(obj.get("scan_cap", _DEFAULT_SCAN_CAP), "'scan_cap'"),
             )
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad block system JSON: {e}") from None

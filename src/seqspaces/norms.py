@@ -421,17 +421,13 @@ def blocksum_norm(v: CoeffVec, lengths, inner: float, outer: float) -> float:
     _ANY_P.check(outer, "blocksum_norm outer exponent")
     if v.is_zero():
         return 0.0
-    idx = v.indices
+    starts = np.array([start for start, _ in _block_lengths(lengths, v.support_max)])
+    # The blocks cover 1..support_max, so every index has a block; cut |a|
+    # where the block changes, one part per nonempty block.
+    block = np.searchsorted(starts, v.indices, side="right")
+    cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), block.size]
     a = np.abs(v.values)
-    block_norms: list[float] = []
-    for start, ln in _block_lengths(lengths, v.support_max):
-        lo = np.searchsorted(idx, start, side="left")
-        hi = np.searchsorted(idx, start + ln, side="left")
-        if lo == hi:
-            continue
-        block_norms.append(_lp(a[lo:hi], inner))
-    if not block_norms:
-        return 0.0
+    block_norms = [_lp(a[lo:hi], inner) for lo, hi in zip(cuts, cuts[1:])]
     if math.isinf(outer):
         return max(block_norms)
     if outer == 1.0:

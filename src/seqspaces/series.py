@@ -3,20 +3,27 @@
 Several norms of finitely supported vectors are genuinely infinite series
 (the Cesaro norm sums prefix averages over all indices).  Those values are
 returned as two-sided enclosures rather than point estimates.  The tail
-sum(i > N) i^(-p) is bracketed by integral comparison and the bracket is
-tightened by summing explicit terms until the requested width is reached.
+sum(i > n) i^(-p) is split at a frontier m >= n: the remainder past m is
+bracketed by integral comparison, and the block n < i <= m is evaluated in
+closed form.
 
 The integral bounds used here are the convexity refinements of
-int_{N+1}^inf x^(-p) dx <= sum_{i>N} i^(-p) <= int_N^inf x^(-p) dx:
+int_{m+1}^inf x^(-p) dx <= sum_{i>m} i^(-p) <= int_m^inf x^(-p) dx:
 the trapezoid rule gives the lower bound and the midpoint rule the upper
-bound, both rigorous because x^(-p) is convex and decreasing.  They enclose
-the same tail as the plain integral bounds, only tighter, so far fewer
-explicit terms are needed for a given width.
+bound, both rigorous because x^(-p) is convex and decreasing.  The frontier
+doubles until they are narrower than the requested width.
+
+The block n < i <= m is summed term by term, exactly rounded, only up to an
+anchor b a little past n (or to m, if that comes first); from b to m it is
+Euler-Maclaurin summation with three Bernoulli terms (``EulerMaclaurin``,
+shared with the closed-form prefix sums of the weights).  Its remainder has
+one sign and a known bound, which widens the bracket on that side.  A
+bracket therefore sums at most b - n terms, about 140 for any p > 1 and n
+at worst, however far the frontier moved.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,10 +32,11 @@ import numpy as np
 from .errors import DomainError
 from .jsonio import JsonRecord
 
-__all__ = ["Bracket", "power_tail_bracket", "zeta_bracket"]
+__all__ = ["Bracket", "EulerMaclaurin", "power_tail_bracket", "zeta_bracket"]
 
-_MAX_TERMS = 1 << 26  # explicit terms one tail bracket may sum
-_CHUNK = 1 << 16
+_MAX_TERMS = 1 << 26  # farthest a tail bracket's frontier may move past n
+_MIN_ANCHOR = 64  # the closed form is anchored no lower than this index
+_LOG_ANCHOR_GAP = 60.0 * math.log(2.0)  # remainder under 2^-60 of the first term
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,41 @@ class Bracket(JsonRecord):
         return Bracket(self.lo + c, self.hi + c)
 
 
+class EulerMaclaurin:
+    """Euler-Maclaurin summation of f(x) = x**(-s), s > 0, with three Bernoulli terms.
+
+    For integers 0 < a < z (Abramowitz & Stegun 23.1.30; Graham, Knuth &
+    Patashnik, Concrete Mathematics 9.5),
+
+        sum_{a < i <= z} f(i) = integral of f over [a, z] + T(z) - T(a) + R,
+        T(x) = x**(-s) (1/2 - s/(12 x) + s(s+1)(s+2)/(720 x**3)
+                        - s(s+1)(s+2)(s+3)(s+4)/(30240 x**5)).
+
+    Every even derivative of f is positive, so R has the sign of the first
+    omitted term, which is negative, and is smaller in size (T. M. Apostol,
+    "An elementary view of Euler's summation formula", Amer. Math. Monthly
+    106 (1999)):  0 <= -R <= |B_8|/8! s(s+1)...(s+6) a**(-s-7).
+    """
+
+    def __init__(self, s: float):
+        self.s = s
+        self.c1 = s / 12.0
+        self.c3 = s * (s + 1.0) * (s + 2.0) / 720.0
+        self.c5 = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) / 30240.0
+        # log(|B_8|/8! s(s+1)...(s+6)), as a sum of logs so no product overflows
+        self.log_c7 = math.fsum(math.log(s + j) for j in range(7)) - math.log(1209600.0)
+
+    def t(self, x, f):
+        """T(x), given f = x**(-s); x and f may be arrays."""
+        r = 1.0 / x
+        r2 = r * r
+        return f * (0.5 - r * (self.c1 - r2 * (self.c3 - r2 * self.c5)))
+
+    def log_remainder(self, a: float) -> float:
+        """log of the bound on -R for a sum anchored at a."""
+        return self.log_c7 - (self.s + 7.0) * math.log(a)
+
+
 def _tail_bounds(p: float, m: int) -> tuple[float, float]:
     # Bounds for sum_{i>m} i^(-p), m >= 1:
     #   lower: integral over [m+1, inf) plus half the first term (trapezoid),
@@ -82,14 +125,61 @@ def _tail_bounds(p: float, m: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _frontier(p: float, n: int, width: float) -> tuple[int, float, float]:
+    """The first m on the doubling from max(n, 8) whose tail bounds are within width.
+
+    Returns m with the bounds (tlo, thi) on sum_{i>m} i^(-p).  A frontier
+    more than _MAX_TERMS past n is refused with DomainError.
+    """
+    m = max(n, 8)
+    tlo, thi = _tail_bounds(p, m)
+    while thi - tlo > width:
+        m *= 2
+        if m - n > _MAX_TERMS:
+            raise DomainError(
+                f"bracket width {width} for p = {p} needs a frontier more than "
+                f"{_MAX_TERMS} terms past n = {n}"
+            )
+        tlo, thi = _tail_bounds(p, m)
+    return m, tlo, thi
+
+
+def _powers(p: float, lo: int, hi: int) -> list[float]:
+    """i^(-p) for lo <= i <= hi."""
+    return (np.arange(lo, hi + 1, dtype=np.float64) ** (-p)).tolist()
+
+
+def _block_sum(p: float, n: int, m: int) -> tuple[float, float]:
+    """sum_{n < i <= m} i^(-p) for p > 1, and how far the true sum may lie below it.
+
+    The terms up to the anchor b are summed exactly rounded; past b the
+    block is Euler-Maclaurin summation, whose remainder is negative and at
+    most 2^-60 (n+1)^(-p): a small fraction of one rounding of the block,
+    which is at least (n+1)^(-p).  b is the least index past n and
+    _MIN_ANCHOR with that remainder bound; when m <= b every term is summed.
+    """
+    em = EulerMaclaurin(p)
+    log_target = -_LOG_ANCHOR_GAP - p * math.log(n + 1)
+    b = max(n + 1, _MIN_ANCHOR, math.ceil(math.exp((em.log_c7 - log_target) / (p + 7.0))))
+    if m <= b:
+        return math.fsum(_powers(p, n + 1, m)), 0.0
+    x = float(b)
+    # integral of x^(-p) over [b, m], through expm1 and log1p: nothing cancels
+    # as p -> 1 or as m -> b
+    d = -(x ** (1.0 - p)) * math.expm1((1.0 - p) * math.log1p((m - b) / x)) / (p - 1.0)
+    z = float(m)
+    corrections = [d, em.t(z, z ** (-p)), -em.t(x, x ** (-p))]
+    return math.fsum(_powers(p, n + 1, b) + corrections), math.exp(em.log_remainder(x))
+
+
 def power_tail_bracket(p: float, n: int, width: float = 1e-12) -> Bracket:
     """Bracket sum_{i > n} i^(-p) for p > 1 to the requested absolute width.
 
     The frontier m doubles on the integral bounds alone until they enclose
-    the remainder past m narrowly enough; then the terms n+1..m are summed
-    once, exactly rounded via fsum, in chunks of 2^16.  A width that needs
-    more than 2^26 explicit terms is refused with DomainError before any
-    term is summed.
+    the remainder past m narrowly enough; a width that needs a frontier more
+    than 2^26 terms past n is refused with DomainError.  The block
+    n < i <= m is then evaluated in O(b - n) work (``_block_sum``), and its
+    one-signed Euler-Maclaurin remainder lowers the lower end.
     """
     if p <= 1.0:
         raise DomainError(f"tail of sum i^(-p) diverges for p = {p}")
@@ -97,21 +187,9 @@ def power_tail_bracket(p: float, n: int, width: float = 1e-12) -> Bracket:
         raise DomainError("tail start must be nonnegative")
     if not (0 < width < math.inf):
         raise DomainError(f"bracket width target must be positive and finite, got {width}")
-    m = max(n, 8)
-    tlo, thi = _tail_bounds(p, m)
-    while thi - tlo > width:
-        m *= 2
-        if m - n > _MAX_TERMS:
-            raise DomainError(
-                f"bracket width {width} for p = {p} needs more than {_MAX_TERMS} explicit terms"
-            )
-        tlo, thi = _tail_bounds(p, m)
-    chunks = (
-        (np.arange(k, min(k + _CHUNK, m + 1), dtype=np.float64) ** (-p)).tolist()
-        for k in range(n + 1, m + 1, _CHUNK)
-    )
-    explicit = math.fsum(itertools.chain.from_iterable(chunks))
-    return Bracket(explicit + tlo, explicit + thi)
+    m, tlo, thi = _frontier(p, n, width)
+    block, remainder = _block_sum(p, n, m)
+    return Bracket(block + (tlo - remainder), block + thi)
 
 
 def zeta_bracket(s: float, width: float = 1e-12) -> Bracket:

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .jsonio import load_json
 
-__all__ = ["CoeffVec", "RunVec", "add_coeffvecs", "parse_vector_json"]
+__all__ = ["CoeffVec", "RunVec", "add_coeffvecs", "json_index", "parse_vector_json"]
 
 # Densification guard for RunVec.to_coeffvec and run-based norm paths.
 DENSIFY_CAP = 1 << 21
@@ -41,6 +41,18 @@ def _as_index(i) -> int:
     if not (_INT64.min <= n <= _INT64.max):
         raise DomainError(f"index {i!r} is outside the 64-bit integer range")
     return n
+
+
+def json_index(x, what: str) -> int:
+    """An integer field of a JSON payload, by the rules of ``_as_index``.
+
+    Booleans, fractions, strings and anything else that is not an integer
+    are a ParseError naming ``what``; nothing is truncated.
+    """
+    try:
+        return _as_index(x)
+    except (DomainError, TypeError):
+        raise ParseError(f"{what} must be an integer, got {x!r}") from None
 
 
 @dataclass(frozen=True)

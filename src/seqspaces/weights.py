@@ -32,6 +32,7 @@ import numpy as np
 
 from .errors import DomainError, ParseError
 from .jsonio import JsonRecord, dumps, json_key, load_json
+from .series import EulerMaclaurin
 
 __all__ = [
     "Weight",
@@ -64,18 +65,14 @@ class _PowerSums:
     """S(n) = sum_{i <= n} i**(-s) for any s > 0, elementwise over an index array.
 
     ``head`` holds the first _N0 terms; S(n) for n <= _N0 is their compensated
-    running sum.  Beyond _N0, Euler-Maclaurin summation over [_N0, n] with
-    three Bernoulli terms (Abramowitz & Stegun 23.1.30; Graham, Knuth &
-    Patashnik, Concrete Mathematics 9.5) gives
+    running sum.  Beyond _N0, Euler-Maclaurin summation over [_N0, n]
+    (``series.EulerMaclaurin``: integral D, end correction T, remainder R) gives
 
         S(n) = S(_N0) - T(_N0) + D(n) + T(n) + R(n),
-        D(n) = integral of x**(-s) over [_N0, n],
-        T(x) = x**(-s) (1/2 - s/(12 x) + s(s+1)(s+2)/(720 x**3)
-                        - s(s+1)(s+2)(s+3)(s+4)/(30240 x**5)).
+        D(n) = integral of x**(-s) over [_N0, n].
 
     The additive constant comes from the tabled head, so no value of Euler's
-    gamma or zeta(s) enters.  Every even derivative of x**(-s) is positive, so
-    R(n) has the sign of the first omitted term and is smaller in size:
+    gamma or zeta(s) enters.  R(n) is one-signed and
     |R(n)| <= |B_8|/8! s(s+1)...(s+6) _N0**(-s-7).  Relative to S(n) >= S(_N0)
     that is below 3.2e-18 for every s > 0 (largest near s = 1), far under one
     rounding.  The float64 evaluation stays within about 3 ulp of the true sum.
@@ -84,17 +81,10 @@ class _PowerSums:
     def __init__(self, s: float, head: np.ndarray):
         self.s = s
         self.table = _compensated_sums(head)
-        self.c1 = s / 12.0
-        self.c3 = s * (s + 1.0) * (s + 2.0) / 720.0
-        self.c5 = s * (s + 1.0) * (s + 2.0) * (s + 3.0) * (s + 4.0) / 30240.0
+        self._t = EulerMaclaurin(s).t
         x0 = float(_N0)
         self.p0 = x0 ** (1.0 - s)
         self.const = math.fsum(head.tolist() + [-self._t(x0, x0 ** (-s))])
-
-    def _t(self, x, f):
-        r = 1.0 / x
-        r2 = r * r
-        return f * (0.5 - r * (self.c1 - r2 * (self.c3 - r2 * self.c5)))
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
         s = self.s

@@ -118,6 +118,16 @@ def test_layered_validation():
         LayeredVec.from_json("{}")
     with pytest.raises(ParseError):
         LayeredVec.from_json('{"rows": [{"n": 1}]}')
+
+
+def test_layered_json_row_numbers_are_integers():
+    # A row number is an integer or the payload is malformed; none is truncated.
+    for n in ("1.5", "true", '"x"', '"1"', "null", "[1]", "1e400"):
+        with pytest.raises(ParseError):
+            LayeredVec.from_json('{"rows": [{"n": %s, "vector": [1]}]}' % n)
+    with pytest.raises(ParseError):
+        LayeredVec.from_json('{"rows": 5}')
+    assert LayeredVec.from_json('{"rows": [{"n": 2.0, "vector": [1]}]}').rows[0][0] == 2
     with pytest.raises(DomainError):
         embed_tandori_lpc0(CoeffVec.basis(1), math.inf)
 

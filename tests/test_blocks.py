@@ -152,6 +152,17 @@ def test_system_json_roundtrip():
         BlockSystem.from_json(json.dumps({"weight": "harmonic"}))
 
 
+def test_system_json_integers_are_not_truncated():
+    bs = small_system()
+    cases = [(0, "k", 1.5), (0, "k", True), (3, "M", 8.5), (1, "start", True), (2, "M", "4"),
+             (None, "scan_cap", 10**7 + 0.5), (None, "scan_cap", True)]
+    for where, key, bad in cases:
+        obj = bs.to_json_dict()
+        (obj if where is None else obj["levels"][where])[key] = bad
+        with pytest.raises(ParseError, match="must be an integer"):
+            BlockSystem.from_json_dict(obj)
+
+
 def test_projection_identity_on_range():
     bs = small_system()
     rng = rng_for(31, 0)

@@ -332,10 +332,48 @@ def test_blocksum_frozen():
 
 def test_blocksum_explicit_must_cover():
     v = CoeffVec.from_dense([1.0, 1.0, 1.0])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="blocks end at 2"):
         blocksum_norm(v, [2], 1.0, 1.0)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="block lengths must be positive"):
         blocksum_norm(v, [2, 0, 3], 1.0, 1.0)
+    with pytest.raises(DomainError, match="block lengths must be positive"):
+        blocksum_norm(v, [1, -2], 1.0, 1.0)
+
+
+def _blocksum_by_block(v, lengths, inner, outer):
+    """Reference: look every block up in the support on its own."""
+    named = {"dyadic": [1 << k for k in range(12)], "triangular": list(range(1, 80))}
+    lens = named[lengths] if isinstance(lengths, str) else lengths
+    a = np.abs(v.values)
+    norms_ = []
+    start = 1
+    for ln in lens:
+        lo, hi = np.searchsorted(v.indices, [start, start + ln])
+        if lo < hi:
+            b = a[lo:hi]
+            norms_.append(
+                float(b.max()) if math.isinf(inner)
+                else math.fsum(b) if inner == 1.0
+                else math.fsum(b**inner) ** (1.0 / inner)
+            )
+        start += ln
+    if math.isinf(outer):
+        return max(norms_)
+    if outer == 1.0:
+        return math.fsum(norms_)
+    return math.fsum(x**outer for x in norms_) ** (1.0 / outer)
+
+
+def test_blocksum_matches_blockwise_lookup_bit_for_bit():
+    rng = rng_for(17, 0)
+    cases = [("dyadic", 2.0, 1.0), ("triangular", 1.0, 3.0), ("dyadic", math.inf, 2.0),
+             ("triangular", 2.5, math.inf), ([3, 5, 7, 300], 1.5, 1.5), ([1] * 300, 2.0, 1.0)]
+    for _ in range(300):
+        v = random_coeffvec(rng, int(rng.integers(1, 65)), 256)
+        for lengths, inner, outer in cases:
+            assert blocksum_norm(v, lengths, inner, outer) == _blocksum_by_block(
+                v, lengths, inner, outer
+            )
 
 
 def test_epw_frozen():

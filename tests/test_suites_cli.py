@@ -202,6 +202,20 @@ def test_cli_bad_system_file(capsys):
     capsys.readouterr()
 
 
+def test_cli_system_with_fractional_block_size_exits_2(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    assert main(["blocks", "build", "--weight", "harmonic", "--p", "1", "--K", "1.5",
+                 "--levels", "4", "--out", str(sys_path)]) == 0
+    obj = json.loads(sys_path.read_text())
+    obj["levels"][3]["M"] = 8.5  # was read as 8: a different system than written
+    sys_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    for cmd in (["verify", "--samples", "5"], ["project", "--vector", "[1, 1, 1]"]):
+        assert main(["blocks", cmd[0], "--system", str(sys_path), *cmd[1:]]) == 2
+        err = capsys.readouterr().err
+        assert "must be an integer" in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_tiny_tolerance_is_bounded():
     # A tolerance far below what float64 can certify must end in an answer or
     # a domain error, in bounded memory and time, never in a traceback.
