@@ -108,7 +108,12 @@ def f_coeffs_to_raw(a: CoeffVec, p: float) -> CoeffVec:
     if a.is_zero():
         return a
     scales = np.array([_dual_scales(int(k), p)[0] for k in a.indices], dtype=np.float64)
-    return CoeffVec(a.indices, a.values * scales)
+    idx, raw = a.indices, a.values * scales
+    # Scales lie in (0, 1], so the products are finite; tiny ones can underflow to 0.
+    keep = raw != 0.0
+    if not keep.all():
+        idx, raw = idx[keep], raw[keep]
+    return CoeffVec._trusted(idx, raw)
 
 
 def g_vector(k: int, p: float) -> CoeffVec:
@@ -194,7 +199,8 @@ class LayeredVec:
         out = []
         for n in range(1, k + 1):
             lo = int(np.searchsorted(idx, n, side="left"))
-            out.append((n, CoeffVec(idx[lo:], self.raw.values[lo:])))
+            # A suffix of a valid vector is valid.
+            out.append((n, CoeffVec._trusted(idx[lo:], self.raw.values[lo:])))
         return out
 
     def to_json_obj(self) -> dict:

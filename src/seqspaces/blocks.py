@@ -30,7 +30,7 @@ from .norms import (
     norm,
     parse_space,
 )
-from .vectors import CoeffVec, RunVec, add_coeffvecs, json_index
+from .vectors import CoeffVec, RunVec, add_coeffvecs, json_index, json_real
 from .weights import Weight, make_weight
 
 __all__ = [
@@ -119,16 +119,19 @@ class BlockSystem(JsonRecord):
                     k=json_index(l["k"], "level 'k'"),
                     M=json_index(l["M"], "level 'M'"),
                     start=json_index(l["start"], "level 'start'"),
-                    c=float(l["c"]),
+                    c=json_real(l["c"], "level 'c'"),
                 )
                 for l in obj["levels"]
             )
+            scan_cap = json_index(obj.get("scan_cap", _DEFAULT_SCAN_CAP), "'scan_cap'")
+            if scan_cap < 1:
+                raise ParseError(f"'scan_cap' must be at least 1, got {scan_cap}")
             return BlockSystem(
                 weight=w,
-                p=float(obj["p"]),
-                K=float(obj["K"]),
+                p=json_real(obj["p"], "'p'"),
+                K=json_real(obj["K"], "'K'"),
                 levels=levels,
-                scan_cap=json_index(obj.get("scan_cap", _DEFAULT_SCAN_CAP), "'scan_cap'"),
+                scan_cap=scan_cap,
             )
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(f"bad block system JSON: {e}") from None
@@ -404,7 +407,8 @@ def fdd_block_check(
         for j in sorted(comp_ids(v)):
             lo = int(np.searchsorted(v.indices, offsets[j] + 1, side="left"))
             hi = int(np.searchsorted(v.indices, offsets[j + 1], side="right"))
-            local = CoeffVec(v.indices[lo:hi] - int(offsets[j]), v.values[lo:hi])
+            # A slice of a valid vector, shifted so that its component starts at index 1.
+            local = CoeffVec._trusted(v.indices[lo:hi] - int(offsets[j]), v.values[lo:hi])
             parts.append(norm(local, specs[j]).mid ** p)
         return math.fsum(parts)
 

@@ -16,12 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import tandori_vp_check
+from .bases import f_scale, tandori_vp_check
 from .errors import DomainError
 from .jsonio import JsonRecord, json_key
 from .norms import (
     _FAMILIES,
     SpaceSpec,
+    _norm_rows,
+    _row_vec,
     lorentz_norm,
     lp_norm,
     norm,
@@ -140,14 +142,21 @@ def _combo_norm(vectors, a, spec) -> float:
 
 
 def _sign_ratio(vectors, a, spec) -> float:
-    """max over sign patterns of the norm, relative to the unflipped norm."""
+    """max over sign patterns of the norm, relative to the unflipped norm.
+
+    Every norm here takes |a| and ``add_coeffvecs`` sums with fsum, which
+    commutes with negation, so a pattern and its negative give the same
+    float: only the patterns whose first sign is +1 are tried.  The all-plus
+    one is the base itself, with ratio exactly 1.
+    """
     base = _combo_norm(vectors, a, spec)
     if base == 0.0:
         return 1.0
-    n = len(vectors)
     best = 1.0
-    for signs in itertools.product((1.0, -1.0), repeat=n):
-        flipped = _combo_norm(vectors, [s * ai for s, ai in zip(signs, a)], spec)
+    for signs in itertools.product((1.0, -1.0), repeat=len(vectors) - 1):
+        if -1.0 not in signs:
+            continue
+        flipped = _combo_norm(vectors, [a[0], *(s * ai for s, ai in zip(signs, a[1:]))], spec)
         if flipped / base > best:
             best = flipped / base
     return best
@@ -294,7 +303,8 @@ def linf_equiv_bound(
 # generic two-norm extremal search
 # ---------------------------------------------------------------------------
 
-_MAX_EQUIV_DIM = 2048  # the family strategy holds about 2n candidates of length n
+_MAX_EQUIV_DIM = 2048  # the family strategy evaluates about 2n candidates of length n
+_CHUNK_ENTRIES = 1 << 18  # candidate entries evaluated per batch
 
 
 @dataclass(frozen=True)
@@ -352,20 +362,44 @@ def _certified_upper(src: SpaceSpec, dst: SpaceSpec):
     return None, None
 
 
-def _family_candidates(n: int) -> list[tuple[float, ...]]:
-    cands: list[tuple[float, ...]] = []
-    for i in range(n):
-        e = [0.0] * n
-        e[i] = 1.0
-        cands.append(tuple(e))
-    for m in range(2, n + 1):
-        cands.append(tuple([1.0] * m + [0.0] * (n - m)))
-    cands.append(tuple(1.0 / (i + 1.0) for i in range(n)))
-    cands.append(tuple(2.0 ** (-i) for i in range(n)))
-    cands.append(tuple((i + 1.0) / n for i in range(n)))
+def _family_rows(n: int, rows: int):
+    """The canonical profiles on 1..n, at most ``rows`` at a time.
+
+    Unit vectors, constant heads of length 2..n, the decays 1/i and 2^(1-i),
+    the ramp i/n and, for n >= 2, ones then halves.
+    """
+    cols = np.arange(n)
+    for lo in range(0, n, rows):
+        yield (cols == np.arange(lo, min(lo + rows, n))[:, None]).astype(np.float64)
+    for lo in range(2, n + 1, rows):
+        yield (cols < np.arange(lo, min(lo + rows, n + 1))[:, None]).astype(np.float64)
+    i = np.arange(n, dtype=np.float64)
+    profiles = [1.0 / (i + 1.0), np.ldexp(1.0, -cols), (i + 1.0) / n]
     if n >= 2:
-        cands.append(tuple([1.0] * (n // 2) + [0.5] * (n - n // 2)))
-    return cands
+        profiles.append(np.where(cols < n // 2, 1.0, 0.5))
+    yield np.array(profiles)
+
+
+def _grid_rows(n: int, rows: int, nonincreasing: bool):
+    """The grid of 51 points per axis on [0, 1]^n, in chunks of at most ``rows`` rows.
+
+    With ``nonincreasing`` only the nonincreasing rows are kept: one
+    representative of each multiset.  Each first coordinate is joined to
+    the grid on the other n - 1 axes (n <= 4: at most 51^3 rows), cut to the
+    rows that do not exceed it when ``nonincreasing``.
+    """
+    axis = np.linspace(0.0, 1.0, 51)
+    if n == 1:
+        yield axis[:, None]
+        return
+    tails = np.indices((axis.size,) * (n - 1)).reshape(n - 1, -1).T  # ascending first column
+    if nonincreasing:
+        tails = tails[(tails[:, :-1] >= tails[:, 1:]).all(axis=1)]
+    for head in range(axis.size):
+        fit = tails[: np.searchsorted(tails[:, 0], head, side="right")] if nonincreasing else tails
+        for lo in range(0, len(fit), rows):
+            part = fit[lo : lo + rows]
+            yield axis[np.column_stack((np.full(len(part), head), part))]
 
 
 def _normalize(t: tuple[float, ...]) -> tuple[float, ...] | None:
@@ -398,6 +432,15 @@ def estimate_equivalence(
     applies.  For the suffix-sup vs dyadic-block pair the ratio is taken on
     coefficient vectors (the suffix-sup side expands them through the
     normalized basis first), matching how that band is defined.
+
+    The candidates (the profiles, then the grid or each restart's final
+    point) are generated and evaluated as a stream of dense chunks of at
+    most 2^18 entries, through each family's batch norm (the scalar kernels'
+    floats, to the bit); nothing holds the whole candidate set, so memory
+    stays at a few chunks for any n and strategy.  The witness is the
+    lexicographically smallest normalized candidate among those reaching the
+    largest ratio.  The restarts' line searches evaluate one vector at a
+    time.
     """
     src = parse_space(from_space)
     dst = parse_space(to_space)
@@ -411,46 +454,28 @@ def estimate_equivalence(
         raise DomainError("grid strategy supports n <= 4")
 
     coeff_mode = _vp_pair(src, dst) or _vp_pair(dst, src)
+    if coeff_mode:
+        tand, blk = (src, dst) if src.family == "tandori" else (dst, src)
+        raw_scales = np.array([f_scale(k, tand.p) for k in range(1, n + 1)])
+
+    def ratio_rows(A: np.ndarray) -> np.ndarray:
+        if not coeff_mode:
+            return _norm_rows(A, src) / _norm_rows(A, dst)
+        t = _norm_rows(A * raw_scales, tand)  # the rows expanded through the basis
+        u = _norm_rows(A, blk)
+        return t / u if src is tand else u / t
 
     def ratio(t: tuple[float, ...]) -> float:
-        v = CoeffVec.from_dense(t)
+        v = _row_vec(np.array(t, dtype=np.float64))
         if v.is_zero():
             return -math.inf
         if coeff_mode:
             rep = tandori_vp_check(v, src.p)
-            return rep.t / rep.u if src.family == "tandori" else rep.u / rep.t
-        num = norm(v, src).mid
-        den = norm(v, dst).mid
-        return num / den
+            return rep.t / rep.u if src is tand else rep.u / rep.t
+        return norm(v, src).mid / norm(v, dst).mid
 
-    both_ri = all(_FAMILIES[s.family].rearrangement_invariant for s in (src, dst))
-
-    seen: set[tuple[float, ...]] = set()
-    candidates: list[tuple[float, ...]] = []
-
-    def push(t) -> None:
-        nt = _normalize(tuple(float(x) for x in t))
-        if nt is None:
-            return
-        if both_ri:
-            nt = tuple(sorted(nt, reverse=True))
-        if nt not in seen:
-            seen.add(nt)
-            candidates.append(nt)
-
-    for t in _family_candidates(n):
-        push(t)
-    if strategy == "grid":
-        axis = np.linspace(0.0, 1.0, 51)
-        if both_ri:
-            src_iter = itertools.combinations_with_replacement(axis[::-1], n)
-        else:
-            src_iter = itertools.product(axis, repeat=n)
-        for t in src_iter:
-            push(t)
-    elif strategy == "coordinate-ascent":
-        restarts = max(1, samples // 10)
-        for rs in range(restarts):
+    def ascent_rows():
+        for rs in range(max(1, samples // 10)):
             rng = rng_for(seed, rs)
             a = list(rng.uniform(0.0, 1.0, size=n))
             best_local = ratio(_normalize(tuple(a)) or tuple(a))
@@ -469,14 +494,34 @@ def estimate_equivalence(
                             improved = True
                 if not improved:
                     break
-            push(tuple(a))
+            yield np.array([a], dtype=np.float64)
+
+    both_ri = all(_FAMILIES[s.family].rearrangement_invariant for s in (src, dst))
+    rows = max(1, _CHUNK_ENTRIES // n)
+    chunks = _family_rows(n, rows)
+    if strategy == "grid":
+        chunks = itertools.chain(chunks, _grid_rows(n, rows, both_ri))
+    elif strategy == "coordinate-ascent":
+        chunks = itertools.chain(chunks, ascent_rows())
 
     best_r = -math.inf
     best_t: tuple[float, ...] | None = None
-    for t in sorted(candidates):
-        r = ratio(t)
-        if r > best_r:
-            best_r, best_t = r, t
+    for A in chunks:
+        top = A.max(axis=1)
+        nonzero = top > 0.0
+        A = A[nonzero] / top[nonzero, None]
+        if both_ri:
+            A = np.sort(A, axis=1)[:, ::-1]
+        if not A.shape[0]:
+            continue
+        r = ratio_rows(np.ascontiguousarray(A))
+        r[np.isnan(r)] = -math.inf
+        hi = r.max()
+        if hi < best_r:
+            continue
+        t = min(map(tuple, A[r == hi].tolist()))
+        if hi > best_r or (best_t is not None and t < best_t):
+            best_r, best_t = float(hi), t
 
     witness = CoeffVec.from_dense(best_t)
     upper, provenance = _certified_upper(src, dst)

@@ -26,6 +26,7 @@ p = inf is written as the literal token ``inf`` in spec strings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -190,11 +191,23 @@ def _parse_weighted_fields(body: str, allowed: tuple[str, ...], where: str) -> d
 
 
 def parse_space(spec: str | SpaceSpec) -> SpaceSpec:
-    """Parse a space spec string (grammar in the module docstring); a SpaceSpec passes through."""
+    """Parse a space spec string (grammar in the module docstring); a SpaceSpec passes through.
+
+    Parsed strings are remembered (the last 256): a SpaceSpec and its Weight
+    are never modified, so one object serves every call.  A bad spec raises
+    each time, and a spec naming an explicit weight file reads the file each
+    time.
+    """
     if isinstance(spec, SpaceSpec):
         return spec
     if not isinstance(spec, str):
         raise ParseError("space spec must be a string")
+    if any(not w.lstrip().startswith("[") for w in spec.split("explicit:")[1:]):
+        return _parse_space_str(spec)
+    return _parse_space_cached(spec)
+
+
+def _parse_space_str(spec: str) -> SpaceSpec:
     s = spec.strip()
     if ":" not in s:
         raise ParseError(f"space spec needs a family prefix, got {spec!r}")
@@ -214,6 +227,9 @@ def parse_space(spec: str | SpaceSpec) -> SpaceSpec:
         except ValueError:  # int() or float() of a bad token
             raise ParseError(f"bad {f.name} {tokens[f.name]!r} in {where}") from None
     return SpaceSpec(family, **values)
+
+
+_parse_space_cached = functools.lru_cache(maxsize=256)(_parse_space_str)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +474,119 @@ def norm(v: CoeffVec, space: SpaceSpec | str, tol: float = 1e-9) -> Bracket:
 
 
 # ---------------------------------------------------------------------------
+# batch variants: one norm per row of a dense nonnegative (B, n) array
+# ---------------------------------------------------------------------------
+#
+# Each returns, for every row, the float its scalar kernel returns on
+# CoeffVec.from_dense(row), to the bit.  They reach the same floating-point
+# operations: zero entries only add exact zeros to a sum or a maximum, sums
+# are per-row fsums, and roots are Python ``**``.  A power goes through the
+# numpy loop its scalar kernel uses: a contiguous 1-d array (lp, garling,
+# blocksum) or a reversed 1-d view (lorentz, tandori).  On CPUs with vector
+# math the two loops differ in the last bit, and a 2-d array may reach
+# either.
+
+
+def _pow(X: np.ndarray, p: float) -> np.ndarray:
+    """X**p by the loop for a contiguous 1-d array."""
+    return (X.ravel() ** p).reshape(X.shape)
+
+
+def _pow_reversed(X: np.ndarray, p: float) -> np.ndarray:
+    """X**p by the loop for a reversed 1-d view."""
+    return (X.ravel()[::-1] ** p)[::-1].reshape(X.shape)
+
+
+def _row_fsums(X: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of every row."""
+    return np.array(list(map(math.fsum, X.tolist())), dtype=np.float64)
+
+
+def _roots(sums: np.ndarray, p: float) -> np.ndarray:
+    e = 1.0 / p
+    return np.array([t**e for t in sums.tolist()], dtype=np.float64)
+
+
+def _lp_rows(A: np.ndarray, p: float) -> np.ndarray:
+    if math.isinf(p):
+        return A.max(axis=1)
+    if p == 1.0:
+        return _row_fsums(A)
+    return _roots(_row_fsums(_pow(A, p)), p)
+
+
+def _lorentz_rows(A: np.ndarray, s: SpaceSpec) -> np.ndarray:
+    m = int(np.count_nonzero(A, axis=1).max())
+    if m == 0:
+        return np.zeros(A.shape[0])
+    desc = np.ascontiguousarray(np.sort(A, axis=1)[:, : -m - 1 : -1])  # nonzeros first
+    return _roots(_row_fsums(_pow_reversed(desc, s.p) * s.weight.values(1, m + 1)), s.p)
+
+
+def _garling_rows(A: np.ndarray, s: SpaceSpec) -> np.ndarray:
+    """The numpy form of the Garling DP, run on all rows at once, column by column.
+
+    It also admits selections that leave a weight slot unused (a zero entry,
+    or a slot before the first entry).  Such a selection pairs the same
+    entries with weights no larger (weights are nonincreasing), and rounding
+    is monotone, so its float sum never exceeds that of the selection without
+    the gap: the maximum is the list DP's, as for the scalar kernel's own
+    numpy branch.
+    """
+    m = int(np.count_nonzero(A, axis=1).max())
+    if m == 0:
+        return np.zeros(A.shape[0])
+    wv = s.weight.values(1, m + 1)
+    vp = _pow(A, s.p)
+    best = np.zeros((A.shape[0], m + 1))
+    for j in range(int(np.flatnonzero(A.any(axis=0))[-1]) + 1):
+        np.maximum(best[:, 1:], best[:, :-1] + vp[:, j : j + 1] * wv, out=best[:, 1:])
+    return _roots(best[:, 1:].max(axis=1), s.p)
+
+
+def _tandori_rows(A: np.ndarray, s: SpaceSpec) -> np.ndarray:
+    suffix_sup = np.maximum.accumulate(A[:, ::-1], axis=1)  # row order reversed
+    return _roots(_row_fsums(_pow_reversed(suffix_sup, s.p)), s.p)
+
+
+def _blocksum_rows(A: np.ndarray, s: SpaceSpec) -> np.ndarray:
+    n = A.shape[1]
+    cuts = [start - 1 for start, _ in _block_lengths(s.lengths, n)] + [n]
+    blocks = np.column_stack(
+        [_lp_rows(np.ascontiguousarray(A[:, lo:hi]), s.inner) for lo, hi in zip(cuts, cuts[1:])]
+    )
+    if math.isinf(s.p) or s.p == 1.0:
+        return _lp_rows(blocks, s.p)
+    powered = np.array([[b**s.p for b in row] for row in blocks.tolist()], dtype=np.float64)
+    return _roots(_row_fsums(powered), s.p)
+
+
+def _epw_rows(A: np.ndarray, s: SpaceSpec) -> np.ndarray:
+    if A.shape[1] > s.n and A[:, s.n :].any():
+        reach = int(np.flatnonzero(A.any(axis=0))[-1]) + 1
+        raise DomainError(f"epw_norm: support reaches {reach}, beyond n = {s.n}")
+    return np.maximum(_lp_rows(A, s.p), s.w_scalar * _lp_rows(A, 2.0))
+
+
+def _row_vec(row: np.ndarray) -> CoeffVec:
+    """The vector of one dense row of finite values, zeros dropped."""
+    nz = np.flatnonzero(row)
+    return CoeffVec._trusted(nz + 1, row[nz])
+
+
+def _norm_rows(A: np.ndarray, s: SpaceSpec) -> np.ndarray:
+    """The norm in ``s`` of every row of a dense nonnegative finite (B, n) array.
+
+    A family without a batch variant (Cesaro, whose norm is a bracket)
+    evaluates row by row; the midpoint stands for the norm, as in ``norm``.
+    """
+    entry = _FAMILIES[s.family]
+    if entry.batch is not None:
+        return entry.batch(A, s)
+    return np.array([entry.evaluate(_row_vec(row), s, 1e-9).mid for row in A], dtype=np.float64)
+
+
+# ---------------------------------------------------------------------------
 # run-length encoded variants
 # ---------------------------------------------------------------------------
 
@@ -532,7 +661,8 @@ class _Family:
     ``SpaceSpec.p`` and ``validate`` checks the other parameters;
     ``evaluate(v, space, tol)`` is the norm as a Bracket.  The evaluators name
     their kernels at call time, so rebinding a module-level kernel reaches
-    ``norm``.
+    ``norm``.  ``batch(rows, space)``, when present, is the norm of every row
+    of a dense nonnegative array, equal to the scalar kernel's to the bit.
     """
 
     fields: tuple[_Field, ...]
@@ -541,16 +671,24 @@ class _Family:
     evaluate: Callable[[CoeffVec, SpaceSpec, float], Bracket]
     validate: Callable[[SpaceSpec], None] = lambda s: None
     split: Callable[[str, tuple[str, ...], str], dict[str, str]] = _parse_fields
+    batch: Callable[[np.ndarray, SpaceSpec], np.ndarray] | None = None
 
 
 _FAMILIES: dict[str, _Family] = {
-    "lp": _Family((_P,), _ANY_P, True, lambda v, s, tol: Bracket.exact(lp_norm(v, s.p))),
+    "lp": _Family(
+        (_P,),
+        _ANY_P,
+        True,
+        lambda v, s, tol: Bracket.exact(lp_norm(v, s.p)),
+        batch=lambda A, s: _lp_rows(A, s.p),
+    ),
     "lorentz": _Family(
         (_W, _P),
         _FINITE_P,
         True,
         lambda v, s, tol: Bracket.exact(lorentz_norm(v, s.weight, s.p)),
         split=_parse_weighted_fields,
+        batch=_lorentz_rows,
     ),
     "garling": _Family(
         (_W, _P),
@@ -558,10 +696,15 @@ _FAMILIES: dict[str, _Family] = {
         False,
         lambda v, s, tol: Bracket.exact(garling_norm(v, s.weight, s.p)),
         split=_parse_weighted_fields,
+        batch=_garling_rows,
     ),
     "cesaro": _Family((_P,), _ABOVE_ONE, False, lambda v, s, tol: cesaro_norm(v, s.p, tol)),
     "tandori": _Family(
-        (_P,), _FINITE_P, False, lambda v, s, tol: Bracket.exact(tandori_norm(v, s.p))
+        (_P,),
+        _FINITE_P,
+        False,
+        lambda v, s, tol: Bracket.exact(tandori_norm(v, s.p)),
+        batch=_tandori_rows,
     ),
     "blocksum": _Family(
         (
@@ -574,6 +717,7 @@ _FAMILIES: dict[str, _Family] = {
         False,
         lambda v, s, tol: Bracket.exact(blocksum_norm(v, s.lengths, s.inner, s.p)),
         validate=_validate_blocksum,
+        batch=_blocksum_rows,
     ),
     # Invariant under permutations of 1..n only: no support may leave the section.
     "epw": _Family(
@@ -582,5 +726,6 @@ _FAMILIES: dict[str, _Family] = {
         False,
         lambda v, s, tol: Bracket.exact(epw_norm(v, s.n, s.p, s.w_scalar)),
         validate=lambda s: _check_epw_args(s.n, s.w_scalar, s.family),
+        batch=_epw_rows,
     ),
 }

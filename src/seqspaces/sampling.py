@@ -47,7 +47,12 @@ def random_coeffvec(
     if not np.any(vals != 0.0):
         vals = vals.copy()
         vals[0] = 1.0
-    return CoeffVec(idx, vals)
+    # Distinct sorted draws from 1..max_index and finite values; small-integer
+    # profiles hold zeros, which are dropped here.
+    keep = vals != 0.0
+    if not keep.all():
+        idx, vals = idx[keep], vals[keep]
+    return CoeffVec._trusted(idx.astype(np.int64, copy=False), vals)
 
 
 def random_nonincreasing(rng: np.random.Generator, n: int) -> CoeffVec:
@@ -56,4 +61,9 @@ def random_nonincreasing(rng: np.random.Generator, n: int) -> CoeffVec:
     if vals[0] == 0.0:
         vals = vals.copy()
         vals[0] = 1.0
-    return CoeffVec(np.arange(1, n + 1), vals)
+    # Finite values on 1..n; a zero draw is dropped like any zero.
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    keep = vals != 0.0
+    if not keep.all():
+        idx, vals = idx[keep], vals[keep]
+    return CoeffVec._trusted(idx, vals)

@@ -122,6 +122,12 @@ def _tail_bounds(p: float, m: int) -> tuple[float, float]:
     #   upper: integral over [m+1/2, inf) (midpoint).
     lo = (m + 1.0) ** (1.0 - p) / (p - 1.0) + 0.5 * (m + 1.0) ** (-p)
     hi = (m + 0.5) ** (1.0 - p) / (p - 1.0)
+    if hi < lo:
+        # Near p = 1 both are about m^(1-p)/(p-1), and rounding can put the
+        # upper bound below the lower one.  Keep both estimates, an ulp
+        # outward: the pair is then wider than its rounding, not inverted,
+        # and the frontier moves on past it.
+        lo, hi = math.nextafter(hi, -math.inf), math.nextafter(lo, math.inf)
     return lo, hi
 
 

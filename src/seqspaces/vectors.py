@@ -14,6 +14,7 @@ their rearrangement-invariant norms computable) only in run form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import DomainError, ParseError
 from .jsonio import load_json
 
-__all__ = ["CoeffVec", "RunVec", "add_coeffvecs", "json_index", "parse_vector_json"]
+__all__ = ["CoeffVec", "RunVec", "add_coeffvecs", "json_index", "json_real", "parse_vector_json"]
 
 # Densification guard for RunVec.to_coeffvec and run-based norm paths.
 DENSIFY_CAP = 1 << 21
@@ -55,6 +56,22 @@ def json_index(x, what: str) -> int:
         raise ParseError(f"{what} must be an integer, got {x!r}") from None
 
 
+def json_real(x, what: str) -> float:
+    """A real field of a JSON payload: a finite number that is not a boolean.
+
+    Strings, booleans, infinities, NaN and integers beyond the float range
+    are a ParseError naming ``what``; nothing is converted from text.
+    """
+    if isinstance(x, numbers.Real) and not isinstance(x, (bool, np.bool_)):
+        try:
+            r = float(x)
+        except OverflowError:
+            r = math.inf
+        if math.isfinite(r):
+            return r
+    raise ParseError(f"{what} must be a finite number, got {x!r}")
+
+
 @dataclass(frozen=True)
 class CoeffVec:
     """Sparse vector with strictly increasing 1-based indices."""
@@ -70,16 +87,29 @@ class CoeffVec:
         if idx.size:
             if idx[0] < 1:
                 raise DomainError("indices must be >= 1")
-            if np.any(np.diff(idx) <= 0):
+            if (idx[1:] <= idx[:-1]).any():
                 raise DomainError("indices must be strictly increasing")
-        if not np.all(np.isfinite(val)):
+        if not np.isfinite(val).all():
             raise DomainError("values must be finite")
         keep = val != 0.0
-        if not np.all(keep):
+        if not keep.all():
             idx = idx[keep]
             val = val[keep]
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "values", val)
+
+    @classmethod
+    def _trusted(cls, indices: np.ndarray, values: np.ndarray) -> "CoeffVec":
+        """A vector from arrays already known to hold its invariants, unchecked.
+
+        For data the package derives from validated vectors: int64 indices,
+        strictly increasing from 1, finite nonzero float64 values.  Callers
+        drop zeros themselves wherever a derived value can be zero.
+        """
+        v = object.__new__(cls)
+        object.__setattr__(v, "indices", indices)
+        object.__setattr__(v, "values", values)
+        return v
 
     @staticmethod
     def from_pairs(pairs) -> "CoeffVec":
@@ -115,7 +145,8 @@ class CoeffVec:
         return self.indices.size == 0
 
     def abs(self) -> "CoeffVec":
-        return CoeffVec(self.indices, np.abs(self.values))
+        # |x| of a finite nonzero value is finite and nonzero.
+        return CoeffVec._trusted(self.indices, np.abs(self.values))
 
     def scale(self, c: float) -> "CoeffVec":
         return CoeffVec(self.indices, c * self.values)
@@ -149,24 +180,25 @@ def add_coeffvecs(parts: list[tuple[float, CoeffVec]]) -> CoeffVec:
     """
     if not parts:
         return CoeffVec()
-    idx = np.concatenate([v.indices for _, v in parts]) if parts else np.empty(0, np.int64)
-    val = np.concatenate([c * v.values for c, v in parts]) if parts else np.empty(0)
+    idx = np.concatenate([v.indices for _, v in parts])
+    val = np.concatenate([c * v.values for c, v in parts])
     if idx.size == 0:
         return CoeffVec()
     order = np.argsort(idx, kind="stable")
     idx = idx[order]
     val = val[order]
-    out_i: list[int] = []
-    out_v: list[float] = []
-    j = 0
-    while j < idx.size:
-        k = j
-        while k < idx.size and idx[k] == idx[j]:
-            k += 1
-        out_i.append(int(idx[j]))
-        out_v.append(math.fsum(val[j:k]))
-        j = k
-    return CoeffVec(np.array(out_i, dtype=np.int64), np.array(out_v))
+    first = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
+    if first.size < idx.size:
+        ends = [*first[1:].tolist(), idx.size]
+        terms = val.tolist()
+        val = np.array([math.fsum(terms[j:k]) for j, k in zip(first.tolist(), ends)])
+        idx = idx[first]
+    if not np.isfinite(val).all():  # the caller's coefficients can overflow
+        raise DomainError("values must be finite")
+    # The indices of valid parts, sorted and deduplicated; drop the zeros
+    # that zero coefficients and cancellation leave.
+    keep = val != 0.0
+    return CoeffVec._trusted(idx[keep], val[keep])
 
 
 @dataclass(frozen=True)
@@ -225,7 +257,8 @@ class RunVec:
             idx[pos : pos + l] = np.arange(s, s + l, dtype=np.int64)
             val[pos : pos + l] = v
             pos += l
-        return CoeffVec(idx, val)
+        # Valid runs are disjoint, sorted, start at >= 1 and hold finite nonzero values.
+        return CoeffVec._trusted(idx, val)
 
     def to_json_obj(self):
         """The CoeffVec form up to the densification cap, the runs beyond it."""

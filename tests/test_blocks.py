@@ -163,6 +163,25 @@ def test_system_json_integers_are_not_truncated():
             BlockSystem.from_json_dict(obj)
 
 
+def test_system_json_reals_are_finite_numbers():
+    bs = small_system()
+    cases = [(None, "p", True), (None, "K", "1.5"), (0, "c", True), (2, "c", "0.5"),
+             (None, "K", None), (None, "p", float("nan")), (1, "c", float("inf"))]
+    for where, key, bad in cases:
+        obj = bs.to_json_dict()
+        (obj if where is None else obj["levels"][where])[key] = bad
+        with pytest.raises(ParseError, match="must be a finite number"):
+            BlockSystem.from_json_dict(obj)
+    for cap in (0, -5):
+        obj = bs.to_json_dict()
+        obj["scan_cap"] = cap
+        with pytest.raises(ParseError, match="'scan_cap' must be at least 1"):
+            BlockSystem.from_json_dict(obj)
+    obj = bs.to_json_dict()
+    obj["K"] = 2  # an integer is a number
+    assert BlockSystem.from_json_dict(obj).K == 2.0
+
+
 def test_projection_identity_on_range():
     bs = small_system()
     rng = rng_for(31, 0)

@@ -1,6 +1,11 @@
 """Equivalence constants: domination bounds, unconditionality, estimates."""
 
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -84,6 +89,7 @@ def test_unconditional_sup_pair_is_three():
     x2 = CoeffVec.from_dense([1.0, 1.0])
     K = unconditional_constant([x1, x2], "lp:p=inf", grid_points=201, samples=200, seed=0)
     assert abs(K - 3.0) <= 1e-12
+    assert K == 3.0000000000000004  # frozen before the sign sweep was halved
     base = lp_norm(CoeffVec.from_dense([-2.0 + 1.0, 1.0]), math.inf)
     flipped = lp_norm(CoeffVec.from_dense([-2.0 - 1.0, -1.0]), math.inf)
     assert flipped / base == 3.0  # the witness ratio, by hand
@@ -208,3 +214,131 @@ def test_estimate_validation():
         estimate_equivalence("lp:p=1", "lp:p=2", 2049)  # candidate lists grow as n^2
     with pytest.raises(DomainError):
         estimate_equivalence("lp:p=1", "lp:p=2", 3, strategy="annealing")
+
+
+# Reports of estimate_equivalence frozen before the search was batched: the
+# candidates were then a sorted list evaluated one vector at a time.  Each
+# row is (from, to, n, strategy, samples, seed), empirical_lower,
+# certified_upper, provenance, and the witness as JSON (or, beyond 64
+# entries, the first 16 hex digits of the SHA-256 of that JSON).
+_PROVENANCE = {
+    "holder": "Hölder bound (sum w^2)^(1/(2*1))",
+    "band72": "dyadic sup blocks vs suffix-sup norm of the expanded coefficients: 72^{1/p}",
+    "garling": "increasing-subsequence sums never beat the sorted pairing",
+    "band2": "suffix-sup norm of the expanded coefficients vs dyadic sup blocks: 2^{1/p}",
+}
+_DYAD1 = "blocksum:lengths=dyadic,inner=inf,outer=1"
+_DYAD2 = "blocksum:lengths=dyadic,inner=inf,outer=2"
+_FROZEN_EQUIV = [
+    (("lp:p=1", "lorentz:w=harmonic,p=1", 3, "family", 200, 0),
+     1.6363636363636365, None, None, [1.0, 1.0, 1.0]),
+    (("lp:p=1", "lorentz:w=harmonic,p=1", 3, "grid", 200, 0),
+     1.6363636363636365, None, None, [1.0, 1.0, 1.0]),
+    (("lp:p=1", "lorentz:w=harmonic,p=1", 3, "coordinate-ascent", 200, 0),
+     1.6363636363636365, None, None, [1.0, 1.0, 1.0]),
+    (("lorentz:w=harmonic,p=1", "lp:p=2", 3, "grid", 200, 0),
+     1.1666666666666667, 1.2825498301656433, "holder", [1.0, 0.5, 0.3333333333333333]),
+    (("lorentz:w=harmonic,p=1", "lp:p=2", 4, "grid", 200, 0),
+     1.1931517552730293, 1.2825498301656433, "holder", [1.0, 0.5, 0.3333333333333333, 0.25]),
+    (("tandori:p=1", _DYAD1, 2, "grid", 200, 0), 1.0, 2.0, "band2", [0.0, 1.0]),
+    ((_DYAD1, "tandori:p=1", 2, "grid", 200, 0), 1.5, 72.0, "band72", [0.5, 1.0]),
+    (("tandori:p=2", _DYAD2, 3, "coordinate-ascent", 50, 1),
+     1.1474789164699823, 1.4142135623730951, "band2", [0.0, 1.0, 0.9747428333819]),
+    ((_DYAD2, "tandori:p=2", 16, "family", 50, 0),
+     1.4523687548277813, 8.48528137423857, "band72", [(i + 1) / 16 for i in range(16)]),
+    (("lorentz:w=harmonic,p=1", "garling:w=harmonic,p=1", 6, "coordinate-ascent", 60, 301),
+     1.5172659440852039, None, None,
+     [0.3645797334879843, 0.4100535170895572, 0.3755746293008397, 0.44871477501022944, 0.0, 1.0]),
+    (("lp:p=1", "cesaro:p=2", 2, "grid", 200, 0), 1.2452092582467078, None, None, [0.0, 1.0]),
+    (("cesaro:p=2", "lp:p=2", 3, "coordinate-ascent", 30, 2),
+     1.4571220032398542, None, None, [1.0, 0.5, 0.3333333333333333]),
+    (("garling:w=harmonic,p=2", "lorentz:w=harmonic,p=2", 3, "grid", 200, 0),
+     1.0000000000000002, 1.0, "garling", [1.0, 0.06, 0.06]),
+    (("garling:w=power:a=0.5,p=1.5", "lp:p=1.5", 40, "coordinate-ascent", 20, 3),
+     1.0, None, None, [0.0] * 39 + [1.0]),
+    (("blocksum:lengths=triangular,inner=2,outer=1", "lp:p=inf", 3, "grid", 200, 0),
+     2.414213562373095, None, None, [1.0, 1.0, 1.0]),
+    (("epw:n=8,p=1,w=0.5", "lp:p=2", 3, "grid", 200, 0),
+     1.7320508075688774, None, None, [1.0, 1.0, 1.0]),
+    (("lp:p=inf", "tandori:p=3", 7, "coordinate-ascent", 40, 5), 1.0, None, None, [1.0]),
+    (("lp:p=1", "lorentz:w=harmonic,p=1", 2048, "family", 200, 0),
+     249.6927982497453, None, None, "cb66bbc4af99b6da"),
+    (("tandori:p=1.5", "lp:p=1.5", 2048, "family", 200, 0),
+     161.2698943865437, None, None, "0415db58b1c387df"),
+    (("tandori:p=2", _DYAD2, 2048, "family", 200, 0),
+     1.0000000000000002, 1.4142135623730951, "band2", "582fbfbfd56e5b16"),
+]
+
+
+@pytest.mark.parametrize("case", _FROZEN_EQUIV, ids=lambda c: "-".join(map(str, c[0][:4])))
+def test_estimate_reports_frozen(case):
+    (src, dst, n, strategy, samples, seed), lower, upper, prov, witness = case
+    rep = estimate_equivalence(src, dst, n, strategy=strategy, samples=samples, seed=seed)
+    got = rep.to_json_dict()
+    if isinstance(witness, str):
+        got["witness"] = hashlib.sha256(json.dumps(got["witness"]).encode()).hexdigest()[:16]
+    assert got == {
+        "from": src, "to": dst, "dim": n, "certified_upper": upper,
+        "provenance": _PROVENANCE.get(prov), "empirical_lower": lower, "witness": witness,
+        "method": strategy, "samples": samples, "seed": seed,
+    }
+
+
+def test_estimate_non_ri_grid_in_bounded_memory():
+    # The full 51^4 grid of a pair that is not rearrangement invariant.  The
+    # report was frozen from the one-vector-at-a-time evaluation, streamed;
+    # holding its 6.8M candidates in a list and a set took 1.7 GB.  The child
+    # runs under a 1 GB address-space limit (set in the child only) and
+    # reports its peak resident size.
+    import resource
+
+    limit = 1 << 30
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    code = (
+        "import json, resource\n"
+        "from seqspaces import estimate_equivalence\n"
+        "rep = estimate_equivalence('epw:n=8,p=1,w=0.5', 'lp:p=2', 4, strategy='grid')\n"
+        "peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "print(json.dumps({'report': rep.to_json_dict(), 'peak_kb': peak}))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=300, preexec_fn=cap_address_space, env=env)
+    assert res.returncode == 0, res.stderr
+    out = json.loads(res.stdout)
+    assert out["report"] == {
+        "from": "epw:n=8,p=1,w=0.5", "to": "lp:p=2", "dim": 4, "certified_upper": None,
+        "provenance": None, "empirical_lower": 2.0, "witness": [1.0, 1.0, 1.0, 1.0],
+        "method": "grid", "samples": 200, "seed": 0,
+    }
+    assert out["peak_kb"] < 200 * 1024
+
+
+# unconditional_constant values frozen before the sign sweep was halved.
+def _mixed3():
+    return [
+        CoeffVec.from_pairs([(1, 1.0), (3, 0.5)]),
+        CoeffVec.from_pairs([(2, 1.0), (3, -0.5)]),
+        CoeffVec.from_pairs([(1, 0.25), (4, 1.0)]),
+    ]
+
+
+def test_unconditional_constants_frozen():
+    rng = np.random.default_rng(5)
+    pair = [CoeffVec(np.arange(1, 4), rng.uniform(-1, 1, 3)) for _ in range(2)]
+    assert unconditional_constant(pair, "lorentz:w=harmonic,p=1", grid_points=41,
+                                  samples=50) == 5.335015921375063
+    assert unconditional_constant(_mixed3(), "lorentz:w=harmonic,p=1", grid_points=41,
+                                  samples=50) == 1.4188679452367094
+    assert unconditional_constant(_mixed3(), "garling:w=harmonic,p=2", grid_points=41,
+                                  samples=30, seed=4) == 1.3989180201133442
+    tandori_pair = [CoeffVec.from_dense([1.0, 0.5, 0.0, 0.2]), CoeffVec.from_dense([0.0, 1.0, -0.7])]
+    assert unconditional_constant(tandori_pair, "tandori:p=1.5", grid_points=31, samples=20,
+                                  seed=1) == 1.632822224852305
+    basis = [CoeffVec.basis(k) for k in (1, 3, 4)]
+    assert unconditional_constant(basis, "cesaro:p=2", grid_points=11, samples=5, seed=2) == 1.0
+    rep = linf_equiv_bound(_mixed3(), "lorentz:w=harmonic,p=1", samples=50, seed=3, k_samples=16)
+    assert rep.K == 1.4188795766878972

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqspaces import (
     CoeffVec,
@@ -28,6 +30,7 @@ from seqspaces import (
     parse_exponent,
     parse_space,
 )
+from seqspaces.norms import _FAMILIES, _norm_rows
 from seqspaces.sampling import random_coeffvec, random_nonincreasing, rng_for
 
 mpmath.mp.dps = 40
@@ -464,3 +467,75 @@ def test_zero_vector_everywhere():
     assert blocksum_norm(z, "dyadic", 1.0, 1.0) == 0.0
     assert epw_norm(z, 4, 1.0, 0.5) == 0.0
     assert cesaro_norm(z, 2.0).mid == 0.0
+
+
+# -- batch variants ----------------------------------------------------------
+
+_EXPONENT = st.one_of(st.sampled_from([1.0, 1.7, 2.0, 2.5, 3.0]), st.floats(1.0, 6.0))
+_WEIGHT = st.sampled_from(["harmonic", "power:a=0.5", "power:a=0.25", "power:a=0.9"])
+_INNER = st.one_of(st.sampled_from([1.0, 2.0, 2.5, math.inf]), st.floats(1.0, 6.0))
+_BATCH_SPECS = {
+    "lp": st.builds(lambda p: f"lp:p={format_exponent(p)}",
+                    st.one_of(_EXPONENT, st.just(math.inf))),
+    "lorentz": st.builds(lambda w, p: f"lorentz:w={w},p={p!r}", _WEIGHT, _EXPONENT),
+    "garling": st.builds(lambda w, p: f"garling:w={w},p={p!r}", _WEIGHT, _EXPONENT),
+    "tandori": st.builds(lambda p: f"tandori:p={p!r}", _EXPONENT),
+    "blocksum": st.builds(
+        lambda lengths, q, p: (
+            f"blocksum:lengths={lengths},inner={format_exponent(q)},outer={format_exponent(p)}"
+        ),
+        st.sampled_from(["dyadic", "triangular"]), _INNER, _INNER,
+    ),
+    "epw": st.builds(lambda p, w: f"epw:n=40,p={p!r},w={w!r}", _EXPONENT, st.floats(0.01, 1.0)),
+}
+
+
+def _dense_rows(seed: int, rows: int, n: int, zeros: float, spread: float) -> np.ndarray:
+    """Nonnegative rows with ties, zeros inside the rows and a range of magnitudes."""
+    rng = np.random.default_rng(seed)
+    A = rng.uniform(0.0, 1.0, size=(rows, n)) ** spread
+    A[rng.uniform(size=A.shape) < zeros] = 0.0
+    if n >= 3:
+        A[::2, n // 2] = 0.0  # an interior zero in every other row
+    A[1::3] = np.round(A[1::3] * 4.0) / 4.0  # repeated values
+    return A
+
+
+@pytest.mark.parametrize("family", sorted(_BATCH_SPECS))
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 64),
+    n=st.integers(1, 40),
+    zeros=st.floats(0.0, 0.7),
+    spread=st.floats(0.2, 8.0),
+)
+def test_batch_norms_equal_scalar_kernels_bit_for_bit(family, data, seed, rows, n, zeros, spread):
+    s = parse_space(data.draw(_BATCH_SPECS[family]))
+    A = _dense_rows(seed, rows, n, zeros, spread)
+    got = _FAMILIES[family].batch(A, s)
+    want = [norm(CoeffVec.from_dense(row), s).mid for row in A]
+    assert got.tolist() == want
+
+
+def test_every_family_but_cesaro_has_a_batch():
+    assert sorted(f for f, e in _FAMILIES.items() if e.batch is not None) == sorted(_BATCH_SPECS)
+    A = _dense_rows(3, 5, 4, 0.3, 1.0)
+    s = parse_space("cesaro:p=2")
+    assert _norm_rows(A, s).tolist() == [norm(CoeffVec.from_dense(r), s).mid for r in A]
+
+
+def test_batch_epw_rejects_support_beyond_n():
+    s = parse_space("epw:n=3,p=1,w=0.5")
+    with pytest.raises(DomainError, match="beyond n = 3"):
+        _norm_rows(np.array([[1.0, 0.0, 0.0, 0.5]]), s)
+
+
+def test_parse_space_memo():
+    s = "lorentz:w=power:a=0.5,p=2"
+    assert parse_space(s) is parse_space(s)
+    assert parse_space(" " + s) == parse_space(s)
+    for _ in range(2):  # a failure is never remembered
+        with pytest.raises(ParseError):
+            parse_space("lorentz:w=power:a=0.5,p=x")

@@ -189,3 +189,26 @@ def test_far_frontier_is_bounded_work():
     # A width the frontier cannot reach within 2^26 terms is still refused.
     with pytest.raises(DomainError, match="frontier"):
         zeta_bracket(p, width * 0.5)
+
+
+def test_tail_bounds_never_invert_near_p_one():
+    # Near p = 1 the two integral bounds agree to the last bit or two, and
+    # rounding can put the upper one below the lower one.  Such a pair must
+    # hold both estimates strictly inside it, and the frontier must not stop
+    # on it; stopping there made the bracket invalid.
+    for p, m in [(1.0010000000000001, 2104916), (1.0010000000000001, 4209832), (1.001, 4209832)]:
+        lo = (m + 1.0) ** (1.0 - p) / (p - 1.0) + 0.5 * (m + 1.0) ** (-p)
+        hi = (m + 0.5) ** (1.0 - p) / (p - 1.0)
+        assert hi < lo
+        tlo, thi = series._tail_bounds(p, m)
+        assert tlo < hi and lo < thi
+    # Here the doubling from n = 526229 meets the inverted pair at m = 2104916.
+    p, n, width = 1.0010000000000001, 526229, 1e-13
+    m, tlo, thi = series._frontier(p, n, width)
+    assert m > 2104916 and 0.0 <= thi - tlo <= width
+    b = power_tail_bracket(p, n, width)
+    assert b.lo <= b.hi
+    assert _contains_up_to_rounding(b, mpmath.zeta(mpmath.mpf(p), n + 1))
+    for m in (8, 10**5, 10**7, 2**26):
+        tlo, thi = series._tail_bounds(1.001, m)
+        assert tlo <= thi

@@ -216,6 +216,22 @@ def test_cli_system_with_fractional_block_size_exits_2(tmp_path, capsys):
         assert "must be an integer" in err and len(err.strip().splitlines()) == 1
 
 
+def test_cli_system_with_bad_real_fields_exits_2(tmp_path, capsys):
+    sys_path = tmp_path / "system.json"
+    assert main(["blocks", "build", "--weight", "harmonic", "--p", "1", "--K", "1.5",
+                 "--levels", "3", "--out", str(sys_path)]) == 0
+    written = json.loads(sys_path.read_text())
+    for key, bad, text in [("p", True, "must be a finite number"),
+                           ("K", "1.5", "must be a finite number"),
+                           ("scan_cap", -5, "must be at least 1")]:
+        obj = dict(written, **{key: bad})
+        sys_path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert main(["blocks", "verify", "--system", str(sys_path), "--samples", "5"]) == 2
+        err = capsys.readouterr().err
+        assert text in err and len(err.strip().splitlines()) == 1
+
+
 def test_cli_tiny_tolerance_is_bounded():
     # A tolerance far below what float64 can certify must end in an answer or
     # a domain error, in bounded memory and time, never in a traceback.

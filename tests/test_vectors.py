@@ -1,11 +1,25 @@
 """Sparse vector containers and their JSON forms."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from seqspaces import CoeffVec, DomainError, ParseError, RunVec, add_coeffvecs, parse_vector_json
+from seqspaces import (
+    CoeffVec,
+    DomainError,
+    ParseError,
+    RunVec,
+    add_coeffvecs,
+    embed_tandori_lpc0,
+    estimate_equivalence,
+    f_coeffs_to_raw,
+    fdd_block_check,
+    parse_vector_json,
+)
+from seqspaces.sampling import random_coeffvec, random_nonincreasing, rng_for
+from seqspaces.vectors import json_real
 
 
 def test_coeffvec_basics():
@@ -123,3 +137,73 @@ def test_runvec_densify_cap():
     with pytest.raises(DomainError):
         rv.to_coeffvec()
     assert rv.support_size == 1 << 30  # metadata still fine
+
+
+def test_coeffvec_validation_messages():
+    cases = [
+        (np.array([3, 2]), np.array([1.0, 1.0]), "strictly increasing"),
+        (np.array([0, 2]), np.array([1.0, 1.0]), ">= 1"),
+        (np.array([1, 2]), np.array([1.0, np.inf]), "finite"),
+        (np.array([[1]]), np.array([[1.0]]), "1-d arrays"),
+    ]
+    for idx, val, text in cases:
+        with pytest.raises(DomainError, match=text):
+            CoeffVec(idx, val)
+    v = CoeffVec(np.array([1, 4, 9]), np.array([0.0, -2.0, 0.0]))
+    assert v.indices.tolist() == [4] and v.values.tolist() == [-2.0]
+    assert v.indices.dtype == np.int64 and v.values.dtype == np.float64
+
+
+def test_trusted_sites_match_validated_construction(monkeypatch):
+    # Every place that builds a vector without validation must hand over
+    # arrays the validating constructor would keep exactly as they are.
+    trusted = CoeffVec._trusted.__func__
+    sites = set()
+
+    def checked(cls, indices, values):
+        v = trusted(cls, indices, values)
+        ref = CoeffVec(indices, values)
+        assert v.indices.dtype == np.int64 and v.values.dtype == np.float64
+        assert v.indices.tolist() == ref.indices.tolist()
+        assert v.values.tolist() == ref.values.tolist()
+        sites.add(sys._getframe(1).f_code.co_name)
+        return v
+
+    monkeypatch.setattr(CoeffVec, "_trusted", classmethod(checked))
+    for case in range(40):
+        rng = rng_for(17, case)
+        a = random_coeffvec(rng, max_support=12, max_index=40)
+        b = random_coeffvec(rng, max_support=12, max_index=40)
+        a.abs()
+        random_nonincreasing(rng, 1 + case % 7)
+        add_coeffvecs([(1.0, a), (-1.0, a), (0.5, b), (0.0, b)])  # cancels a exactly
+        tiny = CoeffVec(a.indices, np.ldexp(np.sign(a.values), -1074))
+        f_coeffs_to_raw(tiny, 1.5)  # scales below 1/2 (index 3 on) underflow to zero
+        embed_tandori_lpc0(a, 2.0).rows_list()
+        RunVec.from_coeffvec(b).to_coeffvec()
+        fdd_block_check([a, CoeffVec(b.indices + 40, b.values)], [("lp:p=2", 40), ("lp:p=1", 40)],
+                        2.0, [1.0, -2.0])
+    estimate_equivalence("lp:p=1", "lorentz:w=harmonic,p=1", 3, strategy="coordinate-ascent",
+                         samples=20)
+    assert sites == {
+        "abs", "random_coeffvec", "random_nonincreasing", "add_coeffvecs", "f_coeffs_to_raw",
+        "rows_list", "to_coeffvec", "sum_norm_p", "_row_vec",
+    }
+
+
+def test_add_coeffvecs_drops_cancellation_and_checks_overflow():
+    a = CoeffVec.from_pairs([(1, 1.0), (2, 3.0)])
+    b = CoeffVec.from_pairs([(2, -3.0), (5, 1.0)])
+    v = add_coeffvecs([(1.0, a), (1.0, b)])
+    assert v.indices.tolist() == [1, 5] and v.values.tolist() == [1.0, 1.0]
+    assert add_coeffvecs([(1.0, a), (-1.0, a)]).is_zero()
+    with pytest.raises(DomainError, match="finite"), np.errstate(over="ignore"):
+        add_coeffvecs([(1e308, CoeffVec.basis(1, 10.0))])
+
+
+def test_json_real():
+    assert json_real(1, "x") == 1.0 and json_real(-2.5, "x") == -2.5
+    assert json_real(np.float64(0.25), "x") == 0.25
+    for bad in (True, False, "1.5", None, [1.0], float("inf"), float("nan"), 10**400):
+        with pytest.raises(ParseError, match="x must be a finite number"):
+            json_real(bad, "x")
