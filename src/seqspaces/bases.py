@@ -7,6 +7,17 @@ exactly, so the two scales are chosen together, each within a few ulps of
 the ideal value, such that their rounded product is exactly 1.0.  That makes
 the duality pairing <g_j, f_k> = delta_jk hold bit-exactly.
 
+The scalar search ``_dual_scales`` is the one definition of the pair.  Its
+first candidate, g = fl(k^{1/p}) and f = fl(1/g), already works for most
+indices (12-15% miss for p in {1, 1.1, 1.5, 2, 2.5, 3}), so ``f_scales``
+tries that candidate for a whole index array at once and sends only the
+misses through the memoized search, which then holds the misses alone.
+Both take k^{1/p} from Python ``**`` (libm ``pow``), never ``np.power``:
+numpy's SIMD power does not always return the same float, so the batch
+would drift from the scalar pair.  ``duality_pair`` merges two supports
+with one ``searchsorted``; it relies on ``CoeffVec`` indices being sorted
+and unique.
+
 Also here: the layered representation of the isometric embedding of the
 suffix-sup space into an l_p sum of sup-normed rows (row n sees the raw
 sequence from index n on), and the two-sided comparison of the suffix-sup
@@ -31,6 +42,7 @@ __all__ = [
     "conjugate",
     "f_scale",
     "g_scale",
+    "f_scales",
     "f_coeffs_to_raw",
     "g_vector",
     "duality_pair",
@@ -42,6 +54,7 @@ __all__ = [
 ]
 
 _ROWS_CAP = 1 << 14
+_BATCH_SCALES = 64  # index arrays up to this size skip the first-candidate batch
 
 
 def conjugate(p: float) -> float:
@@ -99,6 +112,28 @@ def g_scale(k: int, p: float) -> float:
     return _dual_scales(k, p)[1]
 
 
+def f_scales(ks: np.ndarray, p: float) -> np.ndarray:
+    """``f_scale(k, p)`` for every index k >= 1 in ks, bit for bit.
+
+    The first candidate pair of ``_dual_scales`` is tried for all indices at
+    once; only the indices where it misses go through the scalar search.
+    Arrays of at most ``_BATCH_SCALES`` indices go to the memo directly,
+    which is cheaper than the array passes at that size.
+    """
+    _FINITE_P.check(p, "basis exponent")
+    if ks.size <= _BATCH_SCALES:
+        return np.array([_dual_scales(k, p)[0] for k in ks.tolist()], dtype=np.float64)
+    if p == 1.0:
+        g = ks.astype(np.float64)
+    else:
+        e = 1.0 / p
+        g = np.array([k**e for k in ks.astype(np.float64).tolist()], dtype=np.float64)
+    f = 1.0 / g
+    miss = f * g != 1.0
+    f[miss] = [_dual_scales(k, p)[0] for k in ks[miss].tolist()]
+    return f
+
+
 def f_coeffs_to_raw(a: CoeffVec, p: float) -> CoeffVec:
     """Expand coefficients over the normalized basis to the raw sequence.
 
@@ -107,8 +142,7 @@ def f_coeffs_to_raw(a: CoeffVec, p: float) -> CoeffVec:
     _FINITE_P.check(p, "basis exponent")
     if a.is_zero():
         return a
-    scales = np.array([_dual_scales(int(k), p)[0] for k in a.indices], dtype=np.float64)
-    idx, raw = a.indices, a.values * scales
+    idx, raw = a.indices, a.values * f_scales(a.indices, p)
     # Scales lie in (0, 1], so the products are finite; tiny ones can underflow to 0.
     keep = raw != 0.0
     if not keep.all():
@@ -122,13 +156,18 @@ def g_vector(k: int, p: float) -> CoeffVec:
 
 
 def duality_pair(x: CoeffVec, y: CoeffVec) -> float:
-    """The bilinear pairing sum_i x_i y_i over the common support."""
+    """The bilinear pairing sum_i x_i y_i over the common support.
+
+    The smaller support is looked up in the larger one; both index arrays
+    are sorted and unique, so the hits come out in index order.
+    """
     if x.is_zero() or y.is_zero():
         return 0.0
-    common, ix, iy = np.intersect1d(x.indices, y.indices, return_indices=True)
-    if common.size == 0:
-        return 0.0
-    return math.fsum(x.values[ix] * y.values[iy])
+    if x.indices.size > y.indices.size:
+        x, y = y, x
+    pos = np.minimum(np.searchsorted(y.indices, x.indices), y.indices.size - 1)
+    hit = y.indices[pos] == x.indices
+    return math.fsum(x.values[hit] * y.values[pos[hit]])
 
 
 def g_norm_in_cesaro(k: int, p_prime: float, tol: float = 1e-9) -> Bracket:
@@ -195,12 +234,12 @@ class LayeredVec:
         k = self.raw.support_max
         if k > _ROWS_CAP:
             raise DomainError(f"refusing to materialize {k} rows (cap {_ROWS_CAP})")
-        idx = self.raw.indices
+        idx, vals = self.raw.indices, self.raw.values
+        starts = np.searchsorted(idx, np.arange(1, k + 1), side="left").tolist()
         out = []
-        for n in range(1, k + 1):
-            lo = int(np.searchsorted(idx, n, side="left"))
+        for n, lo in enumerate(starts, 1):
             # A suffix of a valid vector is valid.
-            out.append((n, CoeffVec._trusted(idx[lo:], self.raw.values[lo:])))
+            out.append((n, CoeffVec._trusted(idx[lo:], vals[lo:])))
         return out
 
     def to_json_obj(self) -> dict:

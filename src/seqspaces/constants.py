@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import f_scale, tandori_vp_check
+from .bases import f_scales, tandori_vp_check
 from .errors import DomainError
 from .jsonio import JsonRecord, json_key
 from .norms import (
@@ -456,7 +456,7 @@ def estimate_equivalence(
     coeff_mode = _vp_pair(src, dst) or _vp_pair(dst, src)
     if coeff_mode:
         tand, blk = (src, dst) if src.family == "tandori" else (dst, src)
-        raw_scales = np.array([f_scale(k, tand.p) for k in range(1, n + 1)])
+        raw_scales = f_scales(np.arange(1, n + 1), tand.p)
 
     def ratio_rows(A: np.ndarray) -> np.ndarray:
         if not coeff_mode:

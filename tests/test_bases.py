@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqspaces import (
     CoeffVec,
@@ -16,13 +18,17 @@ from seqspaces import (
     embed_tandori_lpc0,
     f_coeffs_to_raw,
     f_scale,
+    f_scales,
     g_norm_in_cesaro,
     g_scale,
     g_vector,
     tandori_norm,
     tandori_vp_check,
 )
+from seqspaces.bases import _dual_scales
 from seqspaces.sampling import random_coeffvec, rng_for
+
+_SCALE_PS = (1.0, 1.1, 1.5, 2.0, 3.0)
 
 
 def test_conjugate():
@@ -60,6 +66,100 @@ def test_f_vectors_are_normalized():
         for k in (1, 2, 3, 10, 100, 937):
             t = tandori_norm(f_coeffs_to_raw(CoeffVec.basis(k), p), p)
             assert abs(t - 1.0) <= 4e-15
+
+
+def _first_candidate_misses(ks, p):
+    """Indices where fl(1/g) with g = fl(k^{1/p}) does not give an exact pair."""
+    out = []
+    for k in ks:
+        g = float(k) ** (1.0 / p)
+        if (1.0 / g) * g != 1.0:
+            out.append(k)
+    return out
+
+
+def _assert_scales_match(ks, p):
+    got = f_scales(np.array(ks, dtype=np.int64), p)
+    want = np.array([_dual_scales(k, p)[0] for k in ks], dtype=np.float64)
+    assert got.tobytes() == want.tobytes()
+    for k, f in zip(ks, got.tolist()):
+        assert f * g_scale(k, p) == 1.0
+
+
+@pytest.mark.parametrize("p", _SCALE_PS)
+def test_f_scales_match_scalar_search_on_the_first_indices(p):
+    ks = list(range(1, 2001))
+    assert _first_candidate_misses(ks, p)  # the scalar search must be exercised
+    _assert_scales_match(ks, p)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    p=st.one_of(st.sampled_from(_SCALE_PS), st.floats(1.0, 8.0)),
+    ks=st.sets(st.integers(1, 2**40), max_size=300),
+)
+def test_f_scales_match_scalar_search(p, ks):
+    # Sizes straddle the batch cutoff; a few first-candidate misses from the
+    # head are mixed in so every draw takes the scalar search too.
+    ks |= set(_first_candidate_misses(range(1, 2001), p)[:3])
+    ks = sorted(ks)
+    assert _first_candidate_misses(ks, p)
+    _assert_scales_match(ks, p)
+
+
+def test_f_scales_do_not_thrash_the_memo():
+    # Only first-candidate misses reach the scalar search, so a large support
+    # fills the memo with a small fraction of its indices.
+    m = 100_000
+    rng = np.random.default_rng(9)
+    idx = np.sort(rng.choice(4 * m, size=m, replace=False)) + 1
+    a = CoeffVec(idx.astype(np.int64), rng.standard_normal(m))
+    for p in (1.5, 2.0):
+        _dual_scales.cache_clear()
+        f_coeffs_to_raw(a, p)
+        info = _dual_scales.cache_info()
+        assert info.hits + info.misses <= 0.2 * m
+
+
+def _pair_oracle(x, y):
+    """The pairing through np.intersect1d, independent of the merge."""
+    if x.is_zero() or y.is_zero():
+        return 0.0
+    common, ix, iy = np.intersect1d(x.indices, y.indices, return_indices=True)
+    if common.size == 0:
+        return 0.0
+    return math.fsum(x.values[ix] * y.values[iy])
+
+
+_VALUES = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    xs=st.lists(st.integers(1, 400), max_size=80, unique=True),
+    kind=st.sampled_from(["independent", "disjoint", "nested", "superset", "equal", "empty"]),
+)
+def test_duality_pair_matches_intersect_oracle(data, xs, kind):
+    xs = sorted(xs)
+    if kind == "independent":  # sizes drawn apart, so often mismatched
+        ys = data.draw(st.lists(st.integers(1, 400), max_size=200, unique=True))
+    elif kind == "disjoint":
+        ys = data.draw(st.lists(st.integers(1, 400).filter(lambda k: k not in xs), max_size=80, unique=True))
+    elif kind == "nested":
+        ys = [k for k in xs if data.draw(st.booleans())]
+    elif kind == "superset":
+        ys = xs + data.draw(st.lists(st.integers(401, 900), max_size=120, unique=True))
+    elif kind == "equal":
+        ys = list(xs)
+    else:
+        ys = []
+    ys = sorted(ys)
+    x = CoeffVec(np.array(xs, dtype=np.int64), np.array(data.draw(st.lists(_VALUES, min_size=len(xs), max_size=len(xs)))))
+    y = CoeffVec(np.array(ys, dtype=np.int64), np.array(data.draw(st.lists(_VALUES, min_size=len(ys), max_size=len(ys)))))
+    want = np.float64(_pair_oracle(x, y)).tobytes()
+    assert np.float64(duality_pair(x, y)).tobytes() == want
+    assert np.float64(duality_pair(y, x)).tobytes() == want
 
 
 def test_duality_pair_bilinear():

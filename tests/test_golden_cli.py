@@ -37,6 +37,8 @@ CASES = {
     "blocks_project": (0, ["blocks", "project", "--system", SYSTEM, "--vector", "[1, 1, 1]"]),
     "verify_garling_oracle": (1, ["verify", "garling-oracle", "--samples", "3", "--tol", "-1"]),
     "verify_tandori_vp": (1, ["verify", "tandori-vp", "--samples", "3", "--tol", "-1"]),
+    "verify_duality": (0, ["verify", "duality"]),
+    "verify_embed_isometry": (0, ["verify", "embed-isometry", "--samples", "40"]),
 }
 
 

@@ -34,6 +34,21 @@ def test_embed_isometry_detects_a_perturbed_suffix_sup_norm(monkeypatch):
     assert len(rep.failures) > rep.cases / 2
 
 
+def test_duality_detects_a_positional_pairing(monkeypatch):
+    # A pairing that matches entries by position instead of by index must
+    # fail most of the duality cases.
+    from seqspaces import bases, suites
+
+    def positional(x, y):
+        n = min(x.values.size, y.values.size)
+        return math.fsum(x.values[:n] * y.values[:n])
+
+    for mod in (bases, suites):
+        monkeypatch.setattr(mod, "duality_pair", positional)
+    rep = run_suite("duality")
+    assert len(rep.failures) > rep.cases / 2
+
+
 def test_suite_report_shape():
     rep = run_suite("lorentz-oracle", samples=12, seed=3)
     assert rep.passed and rep.cases == 12 and rep.seed == 3
