@@ -61,6 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--space", required=True, help='e.g. "lorentz:w=harmonic,p=1"')
     q.add_argument("--vector", required=True, help="vector JSON (dense list or {indices, values})")
     q.add_argument("--tol", type=float, default=1e-9, help="relative width for bracketed norms")
+    q.set_defaults(run=_cmd_norm)
 
     wgt = sub.add_parser("weight", help="weight utilities")
     wsub = wgt.add_subparsers(dest="wcmd", required=True)
@@ -70,6 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     wc.add_argument("--N", type=int, required=True, help="profile horizon")
     wc.add_argument("--r", type=float, default=None, help="exponent for --condition summable")
     wc.add_argument("--slack", type=float, default=0.1, help="consistency slack for --condition nuc")
+    wc.set_defaults(run=_cmd_weight_check)
 
     e = sub.add_parser("equiv", help="estimate an equivalence constant")
     e.add_argument("--from", dest="from_space", required=True, metavar="SPACE")
@@ -78,6 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--strategy", default="family", choices=("family", "grid", "coordinate-ascent"))
     e.add_argument("--samples", type=int, default=200)
     e.add_argument("--seed", type=int, default=0)
+    e.set_defaults(run=_cmd_equiv)
 
     b = sub.add_parser("blocks", help="block system commands")
     bsub = b.add_subparsers(dest="bcmd", required=True)
@@ -88,14 +91,17 @@ def _build_parser() -> argparse.ArgumentParser:
     bb.add_argument("--levels", type=int, default=5)
     bb.add_argument("--scan-cap", dest="scan_cap", type=int, default=None)
     bb.add_argument("--out", default=None, help="write the system JSON here instead of stdout")
+    bb.set_defaults(run=_cmd_blocks_build)
     bv = bsub.add_parser("verify", help="re-check certificates and sample ratios")
     bv.add_argument("--system", required=True, help="system JSON path, or - for stdin")
     bv.add_argument("--space", default="lorentz", choices=("lorentz", "garling"))
     bv.add_argument("--samples", type=int, default=200)
     bv.add_argument("--seed", type=int, default=0)
+    bv.set_defaults(run=_cmd_blocks_verify)
     bp = bsub.add_parser("project", help="project a vector onto the block system")
     bp.add_argument("--system", required=True, help="system JSON path, or - for stdin")
     bp.add_argument("--vector", required=True, help="vector JSON")
+    bp.set_defaults(run=_cmd_blocks_project)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITE_NAMES)
@@ -109,6 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--scan-cap", dest="scan_cap", type=int, default=None)
     v.add_argument("--space", default=None, help="blocks-wp: lorentz or garling")
     v.add_argument("--out", default=None, help="write the report here instead of stdout")
+    v.set_defaults(run=_cmd_verify)
     return top
 
 
@@ -192,22 +199,6 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _dispatch(args) -> int:
-    if args.cmd == "norm":
-        return _cmd_norm(args)
-    if args.cmd == "weight":
-        return _cmd_weight_check(args)
-    if args.cmd == "equiv":
-        return _cmd_equiv(args)
-    if args.cmd == "blocks":
-        if args.bcmd == "build":
-            return _cmd_blocks_build(args)
-        if args.bcmd == "verify":
-            return _cmd_blocks_verify(args)
-        return _cmd_blocks_project(args)
-    return _cmd_verify(args)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -215,7 +206,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _dispatch(args)
+        return args.run(args)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -72,14 +72,6 @@ class Bracket(JsonRecord):
             raise DomainError("powed requires lo >= 0 and a positive exponent")
         return Bracket(self.lo**e, self.hi**e)
 
-    def scaled(self, c: float) -> "Bracket":
-        if c < 0:
-            raise DomainError("scaled requires a nonnegative factor")
-        return Bracket(c * self.lo, c * self.hi)
-
-    def shifted(self, c: float) -> "Bracket":
-        return Bracket(self.lo + c, self.hi + c)
-
 
 class EulerMaclaurin:
     """Euler-Maclaurin summation of f(x) = x**(-s), s > 0, with three Bernoulli terms.

@@ -2,14 +2,15 @@
 
 Each suite runs a property set from one module against oracles, frozen
 constants, or closed-form bounds.  A suite is a function
-``fn(samples, seed, tol, **params) -> (failures, cases, stats, tolerances)``;
-``run_suite`` times it, sorts the failures and builds the SuiteReport, so a
-report is assembled in one place only.  Every failure record is built by
-``_failure`` as ``{"input", "expected", "observed"}``.  Reports are
-deterministic for a given seed and flags (wall time aside): every random
-case builds its own generator from (seed, case index), so evaluation order
-cannot leak into the output, and failures are sorted by their canonical
-JSON encoding.
+``fn(cases, samples, seed, **params) -> (stats, tolerances)``: it counts its
+cases and records its failures in ``cases``, a ``_Cases`` ledger that also
+holds the tolerance and the worst relative difference seen.  ``run_suite``
+times the suite, sorts the failures and builds the SuiteReport, so a report is
+assembled in one place only, and every failure record is
+``{"input", "expected", "observed"}``.  Reports are deterministic for a given
+seed and flags (wall time aside): every random case builds its own generator
+from (seed, case index), so evaluation order cannot leak into the output, and
+failures are sorted by their canonical JSON encoding.
 """
 
 from __future__ import annotations
@@ -76,14 +77,32 @@ class SuiteReport(JsonRecord):
     wall_time_s: float = 0.0
 
 
-def _failure(inp, expected: str, observed) -> dict:
-    """One failure record: what was checked on which input, and what came out."""
-    return {"input": encode(inp), "expected": expected, "observed": encode(observed)}
+class _Cases:
+    """The case count, failure records and worst relative difference of one suite run."""
 
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.n = 0
+        self.failures: list = []
+        self.worst = 0.0
 
-def _rel(a: float, b: float) -> float:
-    scale = max(abs(a), abs(b), 1e-300)
-    return abs(a - b) / scale
+    def fail(self, inp, expected: str, observed) -> None:
+        """Record a failure without counting a case: what was checked, on what, and the result."""
+        record = {"input": encode(inp), "expected": expected, "observed": encode(observed)}
+        self.failures.append(record)
+
+    def check(self, ok: bool, inp, expected: str, observed) -> None:
+        """Count one case, and record it as a failure unless ``ok``."""
+        self.n += 1
+        if not ok:
+            self.fail(inp, expected, observed)
+
+    def agree(self, got: float, want: float, inp, expected: str, **observed) -> None:
+        """Count one case that fails when got and want differ by more than tol, relatively."""
+        d = abs(got - want) / max(abs(got), abs(want), 1e-300)
+        self.worst = max(self.worst, d)
+        # Written "not d > tol", not "d <= tol": a NaN difference passes.
+        self.check(not d > self.tol, inp, expected, {**observed, "rel_diff": d})
 
 
 # ---------------------------------------------------------------------------
@@ -91,29 +110,21 @@ def _rel(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _suite_garling_oracle(samples: int, seed: int, tol: float, **_):
+def _suite_garling_oracle(cases: _Cases, samples: int, seed: int, **_):
     combos = [
         (Weight.harmonic(), 1.0),
         (Weight.harmonic(), 2.0),
         (Weight.power(0.5), 1.0),
         (Weight.power(0.5), 2.0),
     ]
-    failures, cases, worst = [], 0, 0.0
     for j in range(samples):
         v = random_coeffvec(rng_for(seed, j), max_support=14, max_index=40)
         for w, p in combos:
             dp = garling_norm(v, w, p)
             bf = garling_norm_bruteforce(v, w, p)
-            cases += 1
-            d = _rel(dp, bf)
-            worst = max(worst, d)
-            if d > tol:
-                failures.append(_failure(
-                    {"vector": v, "weight": w.spec, "p": p},
-                    "dynamic program equals subset enumeration",
-                    {"dp": dp, "bruteforce": bf, "rel_diff": d},
-                ))
-    return failures, cases, {"max_rel_diff": worst}, {"rel": tol}
+            cases.agree(dp, bf, {"vector": v, "weight": w.spec, "p": p},
+                        "dynamic program equals subset enumeration", dp=dp, bruteforce=bf)
+    return {"max_rel_diff": cases.worst}, {"rel": cases.tol}
 
 
 def _permutation_lorentz(v: CoeffVec, w: Weight, p: float) -> float:
@@ -129,23 +140,16 @@ def _permutation_lorentz(v: CoeffVec, w: Weight, p: float) -> float:
     return best ** (1.0 / p)
 
 
-def _suite_lorentz_oracle(samples: int, seed: int, tol: float, **_):
+def _suite_lorentz_oracle(cases: _Cases, samples: int, seed: int, **_):
     combos = [(Weight.harmonic(), 1.0), (Weight.harmonic(), 2.0), (Weight.power(0.5), 1.5)]
-    failures, worst = [], 0.0
     for j in range(samples):
         w, p = combos[j % len(combos)]
         v = random_coeffvec(rng_for(seed, j), max_support=7, max_index=24)
         fast = lorentz_norm(v, w, p)
         slow = _permutation_lorentz(v, w, p)
-        d = _rel(fast, slow)
-        worst = max(worst, d)
-        if d > tol:
-            failures.append(_failure(
-                {"vector": v, "weight": w.spec, "p": p},
-                "sorted pairing equals permutation maximum",
-                {"sorted": fast, "permutations": slow, "rel_diff": d},
-            ))
-    return failures, samples, {"max_rel_diff": worst}, {"rel": tol}
+        cases.agree(fast, slow, {"vector": v, "weight": w.spec, "p": p},
+                    "sorted pairing equals permutation maximum", sorted=fast, permutations=slow)
+    return {"max_rel_diff": cases.worst}, {"rel": cases.tol}
 
 
 # ---------------------------------------------------------------------------
@@ -155,27 +159,20 @@ def _suite_lorentz_oracle(samples: int, seed: int, tol: float, **_):
 _VP_EXPONENTS = (1.0, 1.5, 2.0, 3.0)
 
 
-def _suite_tandori_vp(samples: int, seed: int, tol: float, **_):
-    failures, cases = [], 0
+def _suite_tandori_vp(cases: _Cases, samples: int, seed: int, **_):
     lo, hi = math.inf, -math.inf
     for p in _VP_EXPONENTS:
         for j in range(samples):
             a = random_coeffvec(rng_for(seed, j), max_support=24, max_index=64)
-            rep = tandori_vp_check(a, p, tol)
-            cases += 1
+            rep = tandori_vp_check(a, p, cases.tol)
             lo = min(lo, rep.ratio)
             hi = max(hi, rep.ratio)
-            if not rep.passed:
-                failures.append(_failure(
-                    {"coefficients": a, "p": p},
-                    "t^p <= 2 u^p and u^p <= 72 t^p",
-                    rep,
-                ))
-    return failures, cases, {"min_ratio": lo, "max_ratio": hi}, {"rel": tol}
+            cases.check(rep.passed, {"coefficients": a, "p": p},
+                        "t^p <= 2 u^p and u^p <= 72 t^p", rep)
+    return {"min_ratio": lo, "max_ratio": hi}, {"rel": cases.tol}
 
 
-def _suite_embed_isometry(samples: int, seed: int, tol: float, **_):
-    failures, cases, worst = [], 0, 0.0
+def _suite_embed_isometry(cases: _Cases, samples: int, seed: int, **_):
     for j in range(samples):
         p = _VP_EXPONENTS[j % len(_VP_EXPONENTS)]
         a = random_coeffvec(rng_for(seed, j), max_support=24, max_index=96)
@@ -186,57 +183,35 @@ def _suite_embed_isometry(samples: int, seed: int, tol: float, **_):
         mag = np.abs(lv.raw.dense())
         sups = np.where(np.tri(mag.size, k=-1, dtype=bool), 0.0, mag).max(axis=1)
         ln = math.fsum(s**p for s in sups.tolist()) ** (1.0 / p)
-        cases += 1
-        d = _rel(t, ln)
-        worst = max(worst, d)
-        if d > tol:
-            failures.append(_failure(
-                {"coefficients": a, "p": p},
-                "layered norm equals suffix-sup norm",
-                {"layered": ln, "suffix_sup": t, "rel_diff": d},
-            ))
+        cases.agree(t, ln, {"coefficients": a, "p": p},
+                    "layered norm equals suffix-sup norm", layered=ln, suffix_sup=t)
         if j % 8 == 0 and a.support_max <= 256:
             # Round trip through explicit rows: an independent evaluation path.
             rt = LayeredVec.from_json(lv.to_json()).norm(p)
-            cases += 1
-            d2 = _rel(t, rt)
-            worst = max(worst, d2)
-            if d2 > tol:
-                failures.append(_failure(
-                    {"coefficients": a, "p": p},
-                    "explicit-rows norm equals suffix-sup norm",
-                    {"roundtrip": rt, "suffix_sup": t, "rel_diff": d2},
-                ))
-    return failures, cases, {"max_rel_diff": worst}, {"rel": tol}
+            cases.agree(t, rt, {"coefficients": a, "p": p},
+                        "explicit-rows norm equals suffix-sup norm", roundtrip=rt, suffix_sup=t)
+    return {"max_rel_diff": cases.worst}, {"rel": cases.tol}
 
 
-def _suite_duality(samples: int, seed: int, tol: float, **_):
-    failures, cases = [], 0
+def _suite_duality(cases: _Cases, samples: int, seed: int, **_):
     kmax = 100
     for p in _VP_EXPONENTS:
         fs = [f_coeffs_to_raw(CoeffVec.basis(k, 1.0), p) for k in range(1, kmax + 1)]
         gs = [g_vector(k, p) for k in range(1, kmax + 1)]
+        # Count the kmax^2 pairings up front; a record is built only on a mismatch.
+        cases.n += kmax * kmax
         for j in range(kmax):
             for k in range(kmax):
                 got = duality_pair(gs[j], fs[k])
                 want = 1.0 if j == k else 0.0
-                cases += 1
                 if got != want:
-                    failures.append(_failure(
-                        {"j": j + 1, "k": k + 1, "p": p},
-                        f"pairing == {want} exactly",
-                        {"pairing": got},
-                    ))
+                    cases.fail({"j": j + 1, "k": k + 1, "p": p}, f"pairing == {want} exactly",
+                               {"pairing": got})
     for k, anchor in ((1, _SQRT_ZETA2), (4, _G4_CES2)):
         br = g_norm_in_cesaro(k, 2.0, tol=1e-9)
-        cases += 1
-        if not (br.contains(anchor) and br.width <= 1e-9 * br.mid):
-            failures.append(_failure(
-                {"k": k, "p_prime": 2.0},
-                f"bracket contains {anchor} with relative width <= 1e-9",
-                br,
-            ))
-    return failures, cases, {"kmax": float(kmax)}, {"pairing": 0.0, "bracket_rel_width": 1e-9}
+        cases.check(br.contains(anchor) and br.width <= 1e-9 * br.mid, {"k": k, "p_prime": 2.0},
+                    f"bracket contains {anchor} with relative width <= 1e-9", br)
+    return {"kmax": float(kmax)}, {"pairing": 0.0, "bracket_rel_width": 1e-9}
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +219,14 @@ def _suite_duality(samples: int, seed: int, tol: float, **_):
 # ---------------------------------------------------------------------------
 
 
-def _suite_holder(samples: int, seed: int, tol: float, **_):
-    failures, cases = [], 0
+def _suite_holder(cases: _Cases, samples: int, seed: int, **_):
     w = Weight.harmonic()
     anchors = {(1.0, 2.0): (_ZETA2, _SQRT_ZETA2), (1.0, 1.5): (_ZETA3, _ZETA3 ** (1.0 / 3.0))}
     worst = 0.0
     for (p, q), (series_anchor, c_anchor) in anchors.items():
         rep = holder_domination(w, p, q, samples=samples, seed=seed, width=1e-10)
-        cases += rep.samples + 1
         worst = max(worst, rep.max_ratio)
+        cases.n += rep.samples  # the sampled inequalities; the check below adds the anchors
         ok = (
             rep.passed
             and rep.series.contains(series_anchor)
@@ -260,14 +234,11 @@ def _suite_holder(samples: int, seed: int, tol: float, **_):
             and rep.C.width < 1e-9
             and not rep.truncated
         )
-        if not ok:
-            failures.append(_failure(
-                {"weight": w.spec, "p": p, "q": q},
-                "series bracket around the zeta anchor, C certified, no sampled violations",
-                rep,
-            ))
+        cases.check(ok, {"weight": w.spec, "p": p, "q": q},
+                    "series bracket around the zeta anchor, C certified, no sampled violations",
+                    rep)
     tolerances = {"bracket_width": 1e-9, "inequality_rel_slack": 1e-10}
-    return failures, cases, {"max_lhs_over_bound": worst}, tolerances
+    return {"max_lhs_over_bound": worst}, tolerances
 
 
 # ---------------------------------------------------------------------------
@@ -283,49 +254,33 @@ def _block_system(
     return find_block_sizes(make_weight(weight), p, K, levels, **kwargs)
 
 
-def _suite_blocks_linf(samples: int, seed: int, tol: float, **params):
+def _suite_blocks_linf(cases: _Cases, samples: int, seed: int, **params):
     bs = _block_system(**params)
     w = bs.weight
-    failures, cases = [], 0
+    tol = cases.tol
     max_cert = 0.0
     for lvl in bs.levels:
         k, M = lvl.k, lvl.M
         level = {"level": k, "M": M}
         cert = bs.certificate(k)
         max_cert = max(max_cert, cert)
-        cases += 1
-        if not (cert <= bs.K * (1.0 + tol)):
-            failures.append(_failure(level, f"certificate <= K = {bs.K}", {"certificate": cert}))
+        cases.check(cert <= bs.K * (1.0 + tol), level, f"certificate <= K = {bs.K}",
+                    {"certificate": cert})
         if M > 1:
-            cases += 1
             prev = (w.prefix_sum(k * (M - 1)) / w.prefix_sum(M - 1)) ** (1.0 / bs.p)
-            if not (prev > bs.K):
-                failures.append(_failure(
-                    level, "ratio at M-1 exceeds K (minimality)", {"ratio_at_M_minus_1": prev}
-                ))
+            cases.check(prev > bs.K, level, "ratio at M-1 exceeds K (minimality)",
+                        {"ratio_at_M_minus_1": prev})
         # The certificate must equal the Lorentz norm of the all-ones level.
         ones = [[0.0]] * (k - 1) + [[1.0] * k]
         ln = lorentz_norm_runs(expand(bs, ones), w, bs.p)
-        cases += 1
-        d = _rel(ln, cert)
-        if d > tol:
-            failures.append(_failure(
-                level,
-                "all-ones Lorentz norm equals the certificate",
-                {"lorentz": ln, "certificate": cert, "rel_diff": d},
-            ))
+        cases.agree(ln, cert, level, "all-ones Lorentz norm equals the certificate",
+                    lorentz=ln, certificate=cert)
         # Normalizer cross-check under the order-sensitive norm (dense path).
         if M <= 4096:
             block = CoeffVec(np.arange(lvl.start, lvl.start + M), np.ones(M))
             gn = garling_norm(block, w, bs.p)
-            cases += 1
-            d = _rel(gn, lvl.c)
-            if d > tol:
-                failures.append(_failure(
-                    level,
-                    "constant block has the same Garling and Lorentz norm",
-                    {"garling": gn, "c": lvl.c, "rel_diff": d},
-                ))
+            cases.agree(gn, lvl.c, level, "constant block has the same Garling and Lorentz norm",
+                        garling=gn, c=lvl.c)
         # 1-domination of the sup of coefficients within the level.
         for j in range(min(samples, 50)):
             rng = rng_for(seed, 1000 * k + j)
@@ -333,39 +288,29 @@ def _suite_blocks_linf(samples: int, seed: int, tol: float, **params):
             if not np.any(a):
                 a[0] = 1.0
             ln = lorentz_norm_runs(expand(bs, [[0.0]] * (k - 1) + [a.tolist()]), w, bs.p)
-            cases += 1
-            if ln < float(np.max(np.abs(a))) * (1.0 - tol):
-                failures.append(_failure(
-                    {"level": k, "coefficients": a.tolist()},
-                    "norm of the combination dominates max |a_i|",
-                    {"norm": ln, "max_abs": float(np.max(np.abs(a)))},
-                ))
-    stats = {
-        "max_certificate": max_cert,
-        "block_sizes": [float(lvl.M) for lvl in bs.levels],
-    }
-    return failures, cases, stats, {"rel": tol}
+            max_abs = float(np.max(np.abs(a)))
+            cases.check(not ln < max_abs * (1.0 - tol), {"level": k, "coefficients": a.tolist()},
+                        "norm of the combination dominates max |a_i|",
+                        {"norm": ln, "max_abs": max_abs})
+    stats = {"max_certificate": max_cert, "block_sizes": [float(lvl.M) for lvl in bs.levels]}
+    return stats, {"rel": tol}
 
 
-def _suite_blocks_wp(samples: int, seed: int, tol: float, **params):
+def _suite_blocks_wp(cases: _Cases, samples: int, seed: int, **params):
     bs = _block_system(**params)
     rep = wp_equivalence_ratios(bs, params.get("space") or "lorentz", samples=samples, seed=seed)
-    failures = []
+    cases.n += rep.cases
     if not rep.passed:
-        failures.append(_failure(
-            {"system": bs, "space": rep.space},
-            f"max ratio <= K = {bs.K}",
-            {"min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio,
-             "max_witness": rep.max_witness},
-        ))
+        cases.fail({"system": bs, "space": rep.space}, f"max ratio <= K = {bs.K}",
+                   {"min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio,
+                    "max_witness": rep.max_witness})
     stats = {"min_ratio": rep.min_ratio, "max_ratio": rep.max_ratio}
-    return failures, rep.cases, stats, {"rel": 1e-12}
+    return stats, {"rel": 1e-12}
 
 
-def _suite_projection(samples: int, seed: int, tol: float, **params):
+def _suite_projection(cases: _Cases, samples: int, seed: int, **params):
     bs = _block_system(**params)
     w = bs.weight
-    failures, cases = [], 0
     hi_d, hi_g = 0.0, 0.0
     span = bs.span
 
@@ -377,23 +322,18 @@ def _suite_projection(samples: int, seed: int, tol: float, **params):
         if x.is_zero():
             continue
         px = averaging_projection(bs, x)
-        cases += 1
         same = (
             px.starts.tolist() == x.starts.tolist()
             and px.lengths.tolist() == x.lengths.tolist()
             and px.values.tolist() == x.values.tolist()
         )
-        if not same:
-            failures.append(_failure(
-                {"coefficients": rows},
-                "projection is the identity on its range",
-                {"differs": True},
-            ))
+        cases.check(same, {"coefficients": rows}, "projection is the identity on its range",
+                    {"differs": True})
 
     for j in range(samples):
         x = random_coeffvec(rng_for(seed, j), max_support=40, max_index=span + 20)
         px = averaging_projection(bs, x)
-        cases += 1
+        cases.n += 1  # one case, up to three failure records
         if j < max(1, min(samples, 1000)):
             ppx = averaging_projection(bs, px)
             dd = 0.0
@@ -402,31 +342,26 @@ def _suite_projection(samples: int, seed: int, tol: float, **params):
             elif px.starts.size:
                 scale = float(np.max(np.abs(px.values)))
                 dd = float(np.max(np.abs(px.values - ppx.values))) / max(scale, 1e-300)
-            if dd > tol:
-                failures.append(_failure({"vector": x}, "P(Px) == Px", {"rel_diff": dd}))
+            if dd > cases.tol:
+                cases.fail({"vector": x}, "P(Px) == Px", {"rel_diff": dd})
         xd = lorentz_norm(x, w, bs.p)
         pd = lorentz_norm_runs(px, w, bs.p)
         rd = pd / xd
         hi_d = max(hi_d, rd)
         if rd > 1.0 + 1e-9:
-            failures.append(_failure(
-                {"vector": x},
-                "projection does not expand the rearranged weighted norm",
-                {"ratio": rd},
-            ))
+            cases.fail({"vector": x}, "projection does not expand the rearranged weighted norm",
+                       {"ratio": rd})
         xg = garling_norm(x, w, bs.p)
         pg = garling_norm(px.to_coeffvec(), w, bs.p) if not px.is_zero() else 0.0
         rg = pg / xg
         hi_g = max(hi_g, rg)
         if rg > 2.0 + 1e-9:
-            failures.append(_failure(
-                {"vector": x},
-                "projection expands the subsequence norm by at most 2",
-                {"ratio": rg},
-            ))
+            cases.fail({"vector": x}, "projection expands the subsequence norm by at most 2",
+                       {"ratio": rg})
     stats = {"max_ratio_lorentz": hi_d, "max_ratio_garling": hi_g}
-    tolerances = {"idempotence_rel": tol, "lorentz_ratio": 1.0 + 1e-9, "garling_ratio": 2.0 + 1e-9}
-    return failures, cases, stats, tolerances
+    tolerances = {"idempotence_rel": cases.tol, "lorentz_ratio": 1.0 + 1e-9,
+                  "garling_ratio": 2.0 + 1e-9}
+    return stats, tolerances
 
 
 # ---------------------------------------------------------------------------
@@ -443,26 +378,12 @@ _FDD_POOL = (
 )
 
 
-def _suite_fdd(samples: int, seed: int, tol: float, **_):
-    failures, cases, worst = [], 0, 0.0
-
-    def check(blocks, comps, p, c, label):
-        nonlocal cases, worst
-        lhs, rhs = fdd_block_check(blocks, comps, p, c)
-        cases += 1
-        d = _rel(lhs, rhs)
-        worst = max(worst, d)
-        if d > tol:
-            failures.append(_failure(
-                label, "direct-sum identity holds", {"lhs": lhs, "rhs": rhs, "rel_diff": d}
-            ))
-
+def _suite_fdd(cases: _Cases, samples: int, seed: int, **_):
     # Two blocks of component norms 1 and 2, p = 2: both sides sqrt(5).
-    comps = [("lp:p=1", 2), ("lp:p=1", 3)]
     z1 = CoeffVec(np.array([1]), np.array([1.0]))
     z2 = CoeffVec(np.array([3, 4]), np.array([1.0, 1.0]))
-    check([z1, z2], comps, 2.0, [1.0, 1.0], {"case": "norms 1 and 2, p=2"})
-
+    label = {"case": "norms 1 and 2, p=2"}
+    sums = [([z1, z2], [("lp:p=1", 2), ("lp:p=1", 3)], 2.0, [1.0, 1.0], label)]
     for j in range(samples):
         rng = rng_for(seed, j)
         n_comp = int(rng.integers(2, 6))
@@ -489,8 +410,11 @@ def _suite_fdd(samples: int, seed: int, tol: float, **_):
             blocks.append(CoeffVec(idx, vals))
             cs.append(float(rng.uniform(-2.0, 2.0)) or 1.0)
         p = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
-        check(blocks, comps, p, cs, {"case": j, "components": comps, "p": p})
-    return failures, cases, {"max_rel_diff": worst}, {"rel": tol}
+        sums.append((blocks, comps, p, cs, {"case": j, "components": comps, "p": p}))
+    for blocks, comps, p, cs, label in sums:
+        lhs, rhs = fdd_block_check(blocks, comps, p, cs)
+        cases.agree(lhs, rhs, label, "direct-sum identity holds", lhs=lhs, rhs=rhs)
+    return {"max_rel_diff": cases.worst}, {"rel": cases.tol}
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +435,8 @@ _AXIOM_POOL = (
 )
 
 
-def _suite_norm_axioms(samples: int, seed: int, tol: float, **_):
-    failures, cases = [], 0
+def _suite_norm_axioms(cases: _Cases, samples: int, seed: int, **_):
+    tol = cases.tol
     for j in range(samples):
         spec = parse_space(_AXIOM_POOL[j % len(_AXIOM_POOL)])
         rng = rng_for(seed, j)
@@ -523,80 +447,52 @@ def _suite_norm_axioms(samples: int, seed: int, tol: float, **_):
         nv = norm(v, spec)
         # Homogeneity.
         nc = norm(u.scale(c), spec)
-        cases += 1
         slack = tol * max(nu.mid * c, 1.0) + c * nu.width + nc.width
-        if abs(nc.mid - c * nu.mid) > slack:
-            failures.append(_failure(
-                {"space": spec.spec, "vector": u, "c": c},
-                "norm(c v) == c norm(v)",
-                {"lhs": nc.mid, "rhs": c * nu.mid},
-            ))
+        cases.check(not abs(nc.mid - c * nu.mid) > slack, {"space": spec.spec, "vector": u, "c": c},
+                    "norm(c v) == c norm(v)", {"lhs": nc.mid, "rhs": c * nu.mid})
         # Triangle inequality.
         ns = norm(add_coeffvecs([(1.0, u), (1.0, v)]), spec)
-        cases += 1
         bound = nu.hi + nv.hi
-        if ns.lo > bound * (1.0 + tol):
-            failures.append(_failure(
-                {"space": spec.spec, "u": u, "v": v},
-                "norm(u + v) <= norm(u) + norm(v)",
-                {"lhs": ns.lo, "rhs": bound},
-            ))
+        cases.check(not ns.lo > bound * (1.0 + tol), {"space": spec.spec, "u": u, "v": v},
+                    "norm(u + v) <= norm(u) + norm(v)", {"lhs": ns.lo, "rhs": bound})
         # Absoluteness: sign flips leave the norm bit-identical.
         flips = rng.choice([-1.0, 1.0], size=len(u))
         uf = CoeffVec(u.indices, u.values * flips)
         nf = norm(uf, spec)
-        cases += 1
-        if not (nf.lo == nu.lo and nf.hi == nu.hi):
-            failures.append(_failure(
-                {"space": spec.spec, "vector": u},
-                "sign flips leave the norm unchanged exactly",
-                {"flipped": nf, "plain": nu},
-            ))
-    return failures, cases, {}, {"rel": tol, "absoluteness": 0.0}
+        cases.check(nf.lo == nu.lo and nf.hi == nu.hi, {"space": spec.spec, "vector": u},
+                    "sign flips leave the norm unchanged exactly", {"flipped": nf, "plain": nu})
+    return {}, {"rel": tol, "absoluteness": 0.0}
 
 
-def _suite_weight_profiles(samples: int, seed: int, tol: float, **_):
-    failures, cases = [], 0
+def _suite_weight_profiles(cases: _Cases, samples: int, seed: int, **_):
     horizon = 1 << 16
 
     nuc_h = check_nuc(Weight.harmonic(), horizon)
-    cases += 1
     ratios = np.asarray(nuc_h.profile_values)
-    if not (
-        nuc_h.verdict == "consistent"
-        and float(ratios.min()) < 1.07
-        and bool(np.all(np.diff(ratios) < 0.0))
-    ):
-        failures.append(_failure(
-            {"weight": "harmonic", "condition": "nuc", "N": horizon},
-            "ratios strictly decreasing with min < 1.07",
-            {"min_ratio": float(ratios.min()), "verdict": nuc_h.verdict},
-        ))
+    falling = bool(np.all(np.diff(ratios) < 0.0))
+    cases.check(nuc_h.verdict == "consistent" and float(ratios.min()) < 1.07 and falling,
+                {"weight": "harmonic", "condition": "nuc", "N": horizon},
+                "ratios strictly decreasing with min < 1.07",
+                {"min_ratio": float(ratios.min()), "verdict": nuc_h.verdict})
 
     nuc_p = check_nuc(Weight.power(0.5), horizon)
-    cases += 1
     target = 2.0**0.5
-    if not (abs(nuc_p.extremum - target) < 0.01 and nuc_p.verdict != "consistent"):
-        failures.append(_failure(
-            {"weight": "power:a=0.5", "condition": "nuc", "N": horizon},
-            "min ratio within 0.01 of sqrt(2); flat limit never reached",
-            {"min_ratio": nuc_p.extremum, "verdict": nuc_p.verdict},
-        ))
+    cases.check(abs(nuc_p.extremum - target) < 0.01 and nuc_p.verdict != "consistent",
+                {"weight": "power:a=0.5", "condition": "nuc", "N": horizon},
+                "min ratio within 0.01 of sqrt(2); flat limit never reached",
+                {"min_ratio": nuc_p.extremum, "verdict": nuc_p.verdict})
 
     tsb = check_2sb(Weight.harmonic(), 100)
-    cases += 1
-    if not (tsb.extremum == 1.0 and tuple(tsb.arg_extremum) == (1, 1)):
-        failures.append(_failure(
-            {"weight": "harmonic", "condition": "2sb", "N": 100},
-            "sup of S(nk)/(S(n)S(k)) equals 1 exactly, at (1,1)",
-            {"sup": tsb.extremum, "arg": list(tsb.arg_extremum)},
-        ))
+    cases.check(tsb.extremum == 1.0 and tuple(tsb.arg_extremum) == (1, 1),
+                {"weight": "harmonic", "condition": "2sb", "N": 100},
+                "sup of S(nk)/(S(n)S(k)) equals 1 exactly, at (1,1)",
+                {"sup": tsb.extremum, "arg": list(tsb.arg_extremum)})
     stats = {
         "harmonic_nuc_min": float(ratios.min()),
         "power_nuc_min": nuc_p.extremum,
         "harmonic_2sb_sup": tsb.extremum,
     }
-    return failures, cases, stats, {"nuc_power_abs": 0.01, "2sb": 0.0}
+    return stats, {"nuc_power_abs": 0.01, "2sb": 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -634,15 +530,18 @@ def run_suite(name: str, samples: int | None = None, seed: int = 0, tol: float |
     tol = d_tol if tol is None else float(tol)
     if samples < 0:
         raise DomainError("sample count must be nonnegative")
+    if not math.isfinite(tol):
+        raise DomainError(f"suite tolerance must be finite, got {tol}")
     seed = int(seed)
     t0 = time.perf_counter()
-    failures, cases, stats, tolerances = fn(samples, seed, tol, **params)
-    failures.sort(key=dumps)
+    cases = _Cases(tol)
+    stats, tolerances = fn(cases, samples, seed, **params)
+    cases.failures.sort(key=dumps)
     return SuiteReport(
         suite=name,
-        passed=not failures,
-        cases=cases,
-        failures=failures,
+        passed=not cases.failures,
+        cases=cases.n,
+        failures=cases.failures,
         stats=stats,
         seed=seed,
         samples=samples,

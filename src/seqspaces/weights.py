@@ -154,9 +154,6 @@ class Weight:
             )
         return self.data[lo - 1 : hi - 1]
 
-    def value(self, i: int) -> float:
-        return float(self.values(i, i + 1)[0])
-
     # -- prefix sums ----------------------------------------------------
 
     @functools.cached_property

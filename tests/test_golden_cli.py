@@ -39,6 +39,18 @@ CASES = {
     "verify_tandori_vp": (1, ["verify", "tandori-vp", "--samples", "3", "--tol", "-1"]),
     "verify_duality": (0, ["verify", "duality"]),
     "verify_embed_isometry": (0, ["verify", "embed-isometry", "--samples", "40"]),
+    "verify_embed_isometry_failing": (1, ["verify", "embed-isometry", "--samples", "9",
+                                          "--tol", "-1"]),
+    "verify_lorentz_oracle": (1, ["verify", "lorentz-oracle", "--samples", "3", "--tol", "-1"]),
+    "verify_holder": (0, ["verify", "holder", "--samples", "20"]),
+    "verify_blocks_linf": (1, ["verify", "blocks-linf", "--samples", "2", "--tol", "-1",
+                               "--levels", "3"]),
+    "verify_blocks_wp": (0, ["verify", "blocks-wp", "--samples", "20", "--levels", "3"]),
+    "verify_projection": (1, ["verify", "projection", "--samples", "3", "--tol", "-1",
+                              "--levels", "3"]),
+    "verify_fdd": (1, ["verify", "fdd", "--samples", "3", "--tol", "-1"]),
+    "verify_norm_axioms": (1, ["verify", "norm-axioms", "--samples", "3", "--tol", "-1"]),
+    "verify_weight_profiles": (0, ["verify", "weight-profiles"]),
 }
 
 

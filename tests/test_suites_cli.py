@@ -9,6 +9,7 @@ import pytest
 
 from seqspaces import DomainError, run_suite
 from seqspaces.cli import main
+from seqspaces.suites import SUITE_NAMES
 
 
 def test_run_suite_unknown():
@@ -18,19 +19,39 @@ def test_run_suite_unknown():
         run_suite("holder", samples=-1)
 
 
-def test_embed_isometry_detects_a_perturbed_suffix_sup_norm(monkeypatch):
-    # The layered side must not be tandori_norm itself: with tandori_norm off
-    # by 1e-9 relative everywhere, most cases must fail.
-    from seqspaces import bases, norms, suites
+def test_run_suite_rejects_a_non_finite_tolerance():
+    # A NaN tolerance would pass every "d > tol" check but fail every
+    # "not passed" one; -1 stays allowed, since it forces failures.
+    for name in SUITE_NAMES:
+        for tol in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                run_suite(name, samples=1, tol=tol)
 
-    exact = norms.tandori_norm
 
-    def perturbed(v, p):
-        return exact(v, p) * (1.0 + 1e-9)
+# suite -> (the norm it checks, samples)
+PERTURBED = {
+    "embed-isometry": ("tandori_norm", 400),
+    "garling-oracle": ("garling_norm", 50),
+    "lorentz-oracle": ("lorentz_norm", 50),
+}
 
-    for mod in (norms, bases, suites):
-        monkeypatch.setattr(mod, "tandori_norm", perturbed)
-    rep = run_suite("embed-isometry", samples=400)
+
+@pytest.mark.parametrize("suite", sorted(PERTURBED))
+def test_suite_detects_a_perturbed_norm(monkeypatch, suite):
+    # The oracle side must not call the norm under test: with it off by 1e-9
+    # relative in every module that imports it, most cases must fail.
+    from seqspaces import norms
+
+    name, samples = PERTURBED[suite]
+    exact = getattr(norms, name)
+
+    def perturbed(*args):
+        return exact(*args) * (1.0 + 1e-9)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("seqspaces") and getattr(mod, name, None) is exact:
+            monkeypatch.setattr(mod, name, perturbed)
+    rep = run_suite(suite, samples=samples)
     assert len(rep.failures) > rep.cases / 2
 
 
@@ -119,6 +140,10 @@ def test_cli_non_finite_tolerance_is_a_domain_error(capsys):
         code = main(["norm", "--space", "cesaro:p=2", "--vector", "[1]", "--tol", tol])
         assert code == 3
     assert "finite" in capsys.readouterr().err
+    for suite in ("garling-oracle", "tandori-vp"):
+        assert main(["verify", suite, "--samples", "5", "--tol", "nan"]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "finite" in err
 
 
 def test_cli_cesaro_extreme_magnitudes(capsys):
