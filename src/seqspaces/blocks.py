@@ -30,6 +30,7 @@ from .norms import (
     norm,
     parse_space,
 )
+from .sampling import rng_for
 from .vectors import CoeffVec, RunVec, add_coeffvecs, json_index, json_real
 from .weights import Weight, make_weight
 
@@ -280,17 +281,7 @@ def wp_equivalence_ratios(
     if samples < 0:
         raise DomainError("sample count must be nonnegative")
     w, p = bs.weight, bs.p
-
-    def ratio(rows) -> float:
-        denom = wp_norm(rows, p)
-        if denom == 0.0:
-            return 1.0
-        rv = expand(bs, rows)
-        if space == "lorentz":
-            num = lorentz_norm_runs(rv, w, p)
-        else:
-            num = garling_norm_runs(rv, w, p)
-        return num / denom
+    norm_runs = lorentz_norm_runs if space == "lorentz" else garling_norm_runs
 
     cases: list[list[list[float]]] = []
     for lvl in bs.levels:  # single normalized block
@@ -299,16 +290,16 @@ def wp_equivalence_ratios(
         cases.append([[0.0]] * (lvl.k - 1) + [[1.0] * lvl.k])
     cases.append([[1.0] * (n + 1) for n in range(bs.k_max)])  # all ones everywhere
     for j in range(samples):
-        rng = np.random.default_rng([seed, j])
-        cases.append(_sample_coeff_rows(bs, rng))
+        cases.append(_sample_coeff_rows(bs, rng_for(seed, j)))
 
     lo, hi = math.inf, -math.inf
     lo_w, hi_w = None, None
     n_run = 0
     for rows in cases:
-        if wp_norm(rows, p) == 0.0:
+        denom = wp_norm(rows, p)
+        if denom == 0.0:
             continue
-        r = ratio(rows)
+        r = norm_runs(expand(bs, rows), w, p) / denom
         n_run += 1
         if r < lo:
             lo, lo_w = r, rows

@@ -107,7 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("suite", choices=SUITE_NAMES)
     v.add_argument("--samples", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--tol", type=float, default=None)
+    v.add_argument("--tol", type=float, default=None,
+                   help="failure tolerance, read by every suite (default: the suite's own)")
     v.add_argument("--weight", default="harmonic", help="block suites: weight spec")
     v.add_argument("--p", type=float, default=1.0, help="block suites: exponent")
     v.add_argument("--K", type=float, default=1.5, help="block suites: target ratio")

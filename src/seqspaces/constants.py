@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import f_scales, tandori_vp_check
+from .bases import f_scales
 from .errors import DomainError
 from .jsonio import JsonRecord, json_key
 from .norms import (
@@ -32,7 +32,7 @@ from .norms import (
 from .sampling import random_coeffvec, rng_for
 from .series import Bracket, zeta_bracket
 from .vectors import CoeffVec, add_coeffvecs
-from .weights import Weight, check_summable
+from .weights import Weight
 
 __all__ = [
     "HolderReport",
@@ -71,7 +71,6 @@ def holder_domination(
     q: float,
     samples: int = 1000,
     seed: int = 0,
-    width: float = 1e-10,
 ) -> HolderReport:
     """Certified C with lorentz_norm(v, w, p) <= C * lp_norm(v, q) for all v.
 
@@ -86,8 +85,7 @@ def holder_domination(
     if samples < 0:
         raise DomainError("sample count must be nonnegative")
     r = q / (q - p)
-    summ = check_summable(w, r, horizon=min(1 << 14, w.limit or 1 << 14))
-    if summ.verdict == "violated":
+    if w.kind != "explicit" and w.a * r <= 1.0:
         raise DomainError(
             f"w^{r} is not summable (a*r = {w.a * r} <= 1); "
             "no Hölder constant exists"
@@ -97,7 +95,7 @@ def holder_domination(
         series = Bracket.exact(math.fsum(np.asarray(w.data, dtype=np.float64) ** r))
         truncated = True
     else:
-        series = zeta_bracket(w.a * r, width)
+        series = zeta_bracket(w.a * r, 1e-10)
     C = series.powed(1.0 / (r * p))
 
     m_cap = 48 if w.limit is None else min(48, w.limit)
@@ -135,10 +133,7 @@ _MAX_SECTION = 16
 
 
 def _combo_norm(vectors, a, spec) -> float:
-    v = add_coeffvecs([(float(ai), x) for ai, x in zip(a, vectors)])
-    if v.is_zero():
-        return 0.0
-    return norm(v, spec).mid
+    return norm(add_coeffvecs([(float(ai), x) for ai, x in zip(a, vectors)]), spec).mid
 
 
 def _sign_ratio(vectors, a, spec) -> float:
@@ -168,7 +163,6 @@ def unconditional_constant(
     grid_points: int = 201,
     samples: int = 200,
     seed: int = 0,
-    ascent: bool = True,
 ) -> float:
     """Worst norm inflation under sign flips of the coefficients.
 
@@ -212,7 +206,7 @@ def unconditional_constant(
         if r > best:
             best, best_a = r, a
 
-    if ascent and n <= 8:
+    if n <= 8:
         a = list(best_a)
         for step in (0.1, 0.01, 0.001):
             improved = True
@@ -247,7 +241,6 @@ def linf_equiv_bound(
     space: SpaceSpec | str,
     samples: int = 500,
     seed: int = 0,
-    grid_points: int = 41,
     k_samples: int = 64,
 ) -> LinfEquivReport:
     """Sup-norm equivalence constants of a seminormalized unconditional section.
@@ -269,9 +262,7 @@ def linf_equiv_bound(
         raise DomainError("section contains a zero vector")
     C = max(max(norms), 1.0 / min(norms))
     M = _combo_norm(vectors, [1.0] * n, spec)
-    K = unconditional_constant(
-        vectors, spec, grid_points=grid_points, samples=k_samples, seed=seed
-    )
+    K = unconditional_constant(vectors, spec, grid_points=41, samples=k_samples, seed=seed)
     bound_real = C * M * K * K
     bound = 2.0 * bound_real
     failures = 0
@@ -429,9 +420,14 @@ def estimate_equivalence(
     ``coordinate-ascent`` runs seeded random restarts with per-coordinate
     multiplicative line search.  The reported value is a lower estimate with
     its witness; a certified upper bound is attached when a closed-form
-    applies.  For the suffix-sup vs dyadic-block pair the ratio is taken on
-    coefficient vectors (the suffix-sup side expands them through the
-    normalized basis first), matching how that band is defined.
+    applies.
+
+    Every pair goes through one ratio rule: a row a scores
+    ||a * s_from||_from / ||a * s_to||_to, where each side's column scale s
+    is 1.0 (exact) unless that side is a coefficient space.  The suffix-sup
+    side of the suffix-sup vs dyadic-block pair is one: its scale is
+    f_scales(1..n), so it expands the candidates over the normalized basis,
+    matching how that band is defined (``tandori_vp_check``).
 
     The candidates (the profiles, then the grid or each restart's final
     point) are generated and evaluated as a stream of dense chunks of at
@@ -453,26 +449,19 @@ def estimate_equivalence(
     if strategy == "grid" and n > 4:
         raise DomainError("grid strategy supports n <= 4")
 
-    coeff_mode = _vp_pair(src, dst) or _vp_pair(dst, src)
-    if coeff_mode:
-        tand, blk = (src, dst) if src.family == "tandori" else (dst, src)
-        raw_scales = f_scales(np.arange(1, n + 1), tand.p)
+    src_scale, dst_scale = (
+        f_scales(np.arange(1, n + 1), s.p) if _vp_pair(s, other) else 1.0
+        for s, other in ((src, dst), (dst, src))
+    )
 
     def ratio_rows(A: np.ndarray) -> np.ndarray:
-        if not coeff_mode:
-            return _norm_rows(A, src) / _norm_rows(A, dst)
-        t = _norm_rows(A * raw_scales, tand)  # the rows expanded through the basis
-        u = _norm_rows(A, blk)
-        return t / u if src is tand else u / t
+        return _norm_rows(A * src_scale, src) / _norm_rows(A * dst_scale, dst)
 
     def ratio(t: tuple[float, ...]) -> float:
-        v = _row_vec(np.array(t, dtype=np.float64))
-        if v.is_zero():
+        if not any(t):
             return -math.inf
-        if coeff_mode:
-            rep = tandori_vp_check(v, src.p)
-            return rep.t / rep.u if src is tand else rep.u / rep.t
-        return norm(v, src).mid / norm(v, dst).mid
+        a = np.array(t, dtype=np.float64)
+        return norm(_row_vec(a * src_scale), src).mid / norm(_row_vec(a * dst_scale), dst).mid
 
     def ascent_rows():
         for rs in range(max(1, samples // 10)):

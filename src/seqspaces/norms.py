@@ -59,6 +59,7 @@ __all__ = [
 
 _GARLING_NUMPY_CUTOFF = 24
 _BRUTEFORCE_CAP = 20
+_GARLING_RUNS_CAP = 1 << 15
 _BRUTEFORCE_BATCH = 1 << 16  # masks per batch: a few MB of temporaries
 _NORMAL_MIN = np.finfo(np.float64).smallest_normal
 _BLOCK_LENGTHS = {  # named block length sequences of the blocksum family
@@ -607,12 +608,12 @@ def lorentz_norm_runs(rv: RunVec, w: Weight, p: float) -> float:
     return math.fsum(a[order] ** p * np.diff(S)) ** (1.0 / p)
 
 
-def garling_norm_runs(rv: RunVec, w: Weight, p: float, dense_cap: int = 1 << 15) -> float:
+def garling_norm_runs(rv: RunVec, w: Weight, p: float) -> float:
     """Garling norm of a run vector.
 
     A single run is exact directly: taking the whole run is optimal since
-    prefix sums increase.  Multiple runs are densified below ``dense_cap``
-    support; beyond it the combinatorial optimum is not implemented.
+    prefix sums increase.  Multiple runs are densified up to a support of
+    ``_GARLING_RUNS_CAP``; beyond it the combinatorial optimum is not implemented.
     """
     _FINITE_P.check(p, "garling_norm_runs exponent")
     if rv.is_zero():
@@ -620,10 +621,10 @@ def garling_norm_runs(rv: RunVec, w: Weight, p: float, dense_cap: int = 1 << 15)
     if rv.starts.size == 1:
         m = int(rv.lengths[0])
         return abs(float(rv.values[0])) * w.prefix_sum(m) ** (1.0 / p)
-    if rv.support_size > dense_cap:
+    if rv.support_size > _GARLING_RUNS_CAP:
         raise DomainError(
             f"garling norm of a {rv.support_size}-entry run vector is not supported "
-            f"(densification cap {dense_cap})"
+            f"(densification cap {_GARLING_RUNS_CAP})"
         )
     return garling_norm(rv.to_coeffvec(), w, p)
 

@@ -22,7 +22,6 @@ def random_coeffvec(
     rng: np.random.Generator,
     max_support: int = 16,
     max_index: int = 256,
-    nonneg: bool = False,
 ) -> CoeffVec:
     """A random finitely supported vector with varied value profiles.
 
@@ -42,8 +41,6 @@ def random_coeffvec(
         vals = rng.integers(-3, 4, size=m).astype(np.float64)
     else:
         vals = rng.uniform(0.0, 1.0, size=m) ** 4 * rng.choice([-1.0, 1.0], size=m)
-    if nonneg:
-        vals = np.abs(vals)
     if not np.any(vals != 0.0):
         vals = vals.copy()
         vals[0] = 1.0

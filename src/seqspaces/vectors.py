@@ -151,10 +151,8 @@ class CoeffVec:
     def scale(self, c: float) -> "CoeffVec":
         return CoeffVec(self.indices, c * self.values)
 
-    def dense(self, length: int | None = None) -> np.ndarray:
-        n = self.support_max if length is None else int(length)
-        if n < self.support_max:
-            raise DomainError("dense length is smaller than the support")
+    def dense(self) -> np.ndarray:
+        n = self.support_max
         if n > DENSIFY_CAP:
             raise DomainError(f"refusing to densify beyond {DENSIFY_CAP} coordinates")
         out = np.zeros(n, dtype=np.float64)
@@ -246,10 +244,10 @@ class RunVec:
     def is_zero(self) -> bool:
         return self.starts.size == 0
 
-    def to_coeffvec(self, cap: int = DENSIFY_CAP) -> CoeffVec:
+    def to_coeffvec(self) -> CoeffVec:
         total = self.support_size
-        if total > cap:
-            raise DomainError(f"run vector has {total} entries, above the cap {cap}")
+        if total > DENSIFY_CAP:
+            raise DomainError(f"run vector has {total} entries, above the cap {DENSIFY_CAP}")
         idx = np.empty(total, dtype=np.int64)
         val = np.empty(total, dtype=np.float64)
         pos = 0

@@ -24,6 +24,7 @@ from seqspaces import (
     make_weight,
     norm,
     tandori_norm,
+    tandori_vp_check,
     unconditional_constant,
 )
 
@@ -112,7 +113,7 @@ def test_unconditional_at_least_one():
 def test_linf_equiv_frozen_pair():
     f2 = f_coeffs_to_raw(CoeffVec.basis(2), 1.0)
     f3 = f_coeffs_to_raw(CoeffVec.basis(3), 1.0)
-    rep = linf_equiv_bound([f2, f3], "tandori:p=1", samples=200, seed=0, grid_points=41)
+    rep = linf_equiv_bound([f2, f3], "tandori:p=1", samples=200, seed=0)
     assert rep.passed and rep.failures == 0
     assert rep.C == 1.0  # both vectors normalized
     assert rep.K == 1.0  # the norm is absolute
@@ -185,6 +186,23 @@ def test_estimate_suffix_sup_band():
     u = blocksum_norm(wit, "dyadic", math.inf, 1.0)
     t = tandori_norm(f_coeffs_to_raw(wit, 1.0), 1.0)
     assert abs(u / t - rev.empirical_lower) <= 1e-10 * rev.empirical_lower
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_estimate_vp_witness_matches_tandori_vp_check(p):
+    # The suffix-sup vs dyadic-block pair is searched on coefficient vectors;
+    # on every witness the reported ratio is tandori_vp_check's t/u (or u/t)
+    # to the bit, whichever strategy found it.
+    tand = f"tandori:p={p:g}"
+    blk = f"blocksum:lengths=dyadic,inner=inf,outer={p:g}"
+    settings = [(2, "grid", 200, 0), (3, "grid", 200, 0), (6, "coordinate-ascent", 30, 1),
+                (64, "family", 200, 0)]
+    for n, strategy, samples, seed in settings:
+        for src, dst in ((tand, blk), (blk, tand)):
+            rep = estimate_equivalence(src, dst, n, strategy=strategy, samples=samples, seed=seed)
+            vp = tandori_vp_check(rep.witness, p)
+            want = vp.t / vp.u if src == tand else vp.u / vp.t
+            assert rep.empirical_lower == want, (src, dst, n, strategy)
 
 
 def test_estimate_witness_reproduces_value():

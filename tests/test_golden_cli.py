@@ -31,6 +31,9 @@ CASES = {
                          "--dim", "3", "--strategy", "family"]),
     "equiv_certified": (0, ["equiv", "--from", "tandori:p=2", "--to",
                             "blocksum:lengths=dyadic,inner=inf,outer=2", "--dim", "8"]),
+    "equiv_band72_ascent": (0, ["equiv", "--from", "blocksum:lengths=dyadic,inner=inf,outer=2",
+                                "--to", "tandori:p=2", "--dim", "6", "--strategy",
+                                "coordinate-ascent", "--samples", "30", "--seed", "1"]),
     "blocks_build": (0, ["blocks", "build", "--weight", "harmonic", "--p", "1", "--K", "1.5",
                          "--levels", "4"]),
     "blocks_verify": (0, ["blocks", "verify", "--system", SYSTEM, "--samples", "40"]),

@@ -467,6 +467,10 @@ def test_zero_vector_everywhere():
     assert blocksum_norm(z, "dyadic", 1.0, 1.0) == 0.0
     assert epw_norm(z, 4, 1.0, 0.5) == 0.0
     assert cesaro_norm(z, 2.0).mid == 0.0
+    # Through the dispatcher too: combinations that cancel are evaluated as is.
+    for spec in ("lp:p=inf", "tandori:p=1.5", "cesaro:p=inf", "garling:w=harmonic,p=1",
+                 "blocksum:lengths=triangular,inner=2,outer=inf", "epw:n=4,p=2,w=0.5"):
+        assert norm(z, spec).mid == 0.0, spec
 
 
 # -- batch variants ----------------------------------------------------------

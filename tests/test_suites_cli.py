@@ -28,6 +28,15 @@ def test_run_suite_rejects_a_non_finite_tolerance():
                 run_suite(name, samples=1, tol=tol)
 
 
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_every_suite_reads_its_tolerance(suite):
+    # A negative tolerance fails every comparison, so every suite must fail,
+    # and report the tolerance it ran with.
+    rep = run_suite(suite, samples=3, tol=-1.0, levels=3)
+    assert not rep.passed and rep.failures
+    assert -1.0 in rep.tolerances.values()
+
+
 # suite -> (the norm it checks, samples)
 PERTURBED = {
     "embed-isometry": ("tandori_norm", 400),
