@@ -15,8 +15,8 @@ misses through the memoized search, which then holds the misses alone.
 Both take k^{1/p} from Python ``**`` (libm ``pow``), never ``np.power``:
 numpy's SIMD power does not always return the same float, so the batch
 would drift from the scalar pair.  ``duality_pair`` merges two supports
-with one ``searchsorted``; it relies on ``CoeffVec`` indices being sorted
-and unique.
+with one ``searchsorted``, or looks a single entry up without array
+temporaries; it relies on ``CoeffVec`` indices being sorted and unique.
 
 Also here: the layered representation of the isometric embedding of the
 suffix-sup space into an l_p sum of sup-normed rows (row n sees the raw
@@ -159,13 +159,25 @@ def duality_pair(x: CoeffVec, y: CoeffVec) -> float:
     """The bilinear pairing sum_i x_i y_i over the common support.
 
     The smaller support is looked up in the larger one; both index arrays
-    are sorted and unique, so the hits come out in index order.
+    are sorted and unique, so the hits come out in index order.  A one-entry
+    smaller support (every pairing of the basis duality) takes a scalar path
+    that skips numpy's per-call array overhead: one index comparison or one
+    ``ndarray.searchsorted``, then one product.  That product still goes
+    through ``fsum``, as the merge's products do, so a product that
+    underflows to -0.0 comes back as +0.0 on both paths.
     """
-    if x.is_zero() or y.is_zero():
+    nx, ny = x.indices.size, y.indices.size
+    if nx > ny:
+        x, y, nx, ny = y, x, ny, nx
+    if nx == 0:
         return 0.0
-    if x.indices.size > y.indices.size:
-        x, y = y, x
-    pos = np.minimum(np.searchsorted(y.indices, x.indices), y.indices.size - 1)
+    if nx == 1:
+        k = x.indices[0]
+        pos = 0 if ny == 1 else y.indices.searchsorted(k)
+        if pos == ny or y.indices[pos] != k:
+            return 0.0
+        return math.fsum((x.values[0] * y.values[pos],))
+    pos = np.minimum(np.searchsorted(y.indices, x.indices), ny - 1)
     hit = y.indices[pos] == x.indices
     return math.fsum(x.values[hit] * y.values[pos[hit]])
 

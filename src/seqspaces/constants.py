@@ -461,7 +461,9 @@ def estimate_equivalence(
         if not any(t):
             return -math.inf
         a = np.array(t, dtype=np.float64)
-        return norm(_row_vec(a * src_scale), src).mid / norm(_row_vec(a * dst_scale), dst).mid
+        plain = _row_vec(a)  # a scale of 1.0 leaves a as it is; at most one side has an array
+        x, y = (_row_vec(a * s) if isinstance(s, np.ndarray) else plain for s in (src_scale, dst_scale))
+        return norm(x, src).mid / norm(y, dst).mid
 
     def ascent_rows():
         for rs in range(max(1, samples // 10)):

@@ -57,7 +57,8 @@ __all__ = [
     "garling_norm_runs",
 ]
 
-_GARLING_NUMPY_CUTOFF = 24
+_GARLING_NUMPY_CUTOFF = 12
+_GARLING_CHUNK = 64  # positions per column-range step of the numpy Garling DP
 _BRUTEFORCE_CAP = 20
 _GARLING_RUNS_CAP = 1 << 15
 _BRUTEFORCE_BATCH = 1 << 16  # masks per batch: a few MB of temporaries
@@ -278,6 +279,14 @@ def garling_norm(v: CoeffVec, w: Weight, p: float) -> float:
     selected positions, the k-th selected position being paired with w_k.
     Zeros contribute nothing and only waste a weight slot, so only the
     support is iterated.  O(m^2) in the support size m.
+
+    Above ``_GARLING_NUMPY_CUTOFF`` entries each position is one numpy
+    update of columns 1..n, n the last position of its chunk of
+    ``_GARLING_CHUNK``; the width grows and the views are taken once per
+    chunk.  After position i (counting from 1) a column past i can only hold
+    a selection that leaves a weight slot unused, and such a selection never
+    beats the maximum (see ``_garling_rows``).  So any width from i to m
+    columns gives the same float.
     """
     _FINITE_P.check(p, "garling_norm exponent")
     if v.is_zero():
@@ -295,8 +304,11 @@ def garling_norm(v: CoeffVec, w: Weight, p: float) -> float:
                     best[k] = cand
         return max(best[1:]) ** (1.0 / p)
     best = np.zeros(m + 1, dtype=np.float64)
-    for i in range(m):
-        np.maximum(best[1:], best[:-1] + vp[i] * wv, out=best[1:])
+    for c in range(0, m, _GARLING_CHUNK):
+        n = min(c + _GARLING_CHUNK, m)
+        hi, lo, wn = best[1 : n + 1], best[:n], wv[:n]
+        for t in vp[c:n]:
+            np.maximum(hi, lo + t * wn, out=hi)
     return float(best[1:].max()) ** (1.0 / p)
 
 

@@ -206,7 +206,7 @@ def _suite_duality(cases: _Cases, samples: int, seed: int, **_):
                 got = duality_pair(gs[j], fs[k])
                 want = 1.0 if j == k else 0.0
                 if not abs(got - want) <= tol:
-                    cases.fail({"j": j + 1, "k": k + 1, "p": p}, f"pairing == {want} exactly",
+                    cases.fail({"j": j + 1, "k": k + 1, "p": p}, f"|pairing - {want}| <= {tol}",
                                {"pairing": got})
     for k, anchor in ((1, _SQRT_ZETA2), (4, _G4_CES2)):
         br = g_norm_in_cesaro(k, 2.0, tol=1e-9)

@@ -191,10 +191,10 @@ def _garling_reference(v, w, p):
 
 
 def test_garling_both_paths_vs_reference():
-    # Supports up to the vectorized cutoff (24) take the list loop and larger
+    # Supports up to the vectorized cutoff (12) take the list loop and larger
     # ones the numpy loop; both must agree with a plain reference DP.
     for j in range(40):
-        m = (3, 20, 23, 24, 25, 47, 48, 49, 60)[j % 9]
+        m = (3, 8, 11, 12, 13, 47, 48, 49, 60)[j % 9]
         rng = rng_for(12, j)
         idx = np.sort(rng.choice(np.arange(1, 200), size=m, replace=False))
         v = CoeffVec(idx, rng.uniform(-2.0, 2.0, size=m))
@@ -202,6 +202,26 @@ def test_garling_both_paths_vs_reference():
             got = garling_norm(v, H, p)
             ref = _garling_reference(v, H, p)
             assert abs(got - ref) <= 1e-12 * max(ref, 1.0)
+
+
+def test_garling_numpy_dp_equals_list_dp(monkeypatch):
+    # The list DP and the chunked numpy DP must give the same float on any
+    # vector; patching the cutoff sends one vector through each.  The sizes
+    # straddle the cutoff and the numpy DP's chunks of 64 positions.
+    from seqspaces import norms
+
+    cutoff = norms._GARLING_NUMPY_CUTOFF
+    weights = [make_weight(s) for s in ("harmonic", "power:a=0.5", "power:a=0.9")]
+    for j, m in enumerate((1, cutoff, cutoff + 1, 63, 64, 65, 128, 129, 300)):
+        rng = rng_for(21, j)
+        idx = np.sort(rng.choice(np.arange(1, 3 * m + 1), size=m, replace=False))
+        v = CoeffVec(idx, rng.uniform(-2.0, 2.0, size=m))
+        for w in weights:
+            for p in (1.0, 1.5, 2.0, 3.0):
+                monkeypatch.setattr(norms, "_GARLING_NUMPY_CUTOFF", 0)
+                chunked = garling_norm(v, w, p)
+                monkeypatch.setattr(norms, "_GARLING_NUMPY_CUTOFF", 10**6)
+                assert garling_norm(v, w, p) == chunked, (m, p)
 
 
 def _subset_max_loop(v, w, p):

@@ -79,6 +79,17 @@ def test_duality_detects_a_positional_pairing(monkeypatch):
     assert len(rep.failures) > rep.cases / 2
 
 
+def test_duality_failure_names_the_tolerance(monkeypatch):
+    # A failed pairing is reported against the tolerance it was compared
+    # within, not as an exact equality.
+    from seqspaces import bases, suites
+
+    monkeypatch.setattr(suites, "duality_pair", lambda x, y: 1.5 * bases.duality_pair(x, y))
+    rep = run_suite("duality", tol=0.25)
+    assert len(rep.failures) == 100 * len(suites._VP_EXPONENTS)  # the diagonal pairings
+    assert {f["expected"] for f in rep.failures} == {"|pairing - 1.0| <= 0.25"}
+
+
 def test_suite_report_shape():
     rep = run_suite("lorentz-oracle", samples=12, seed=3)
     assert rep.passed and rep.cases == 12 and rep.seed == 3
