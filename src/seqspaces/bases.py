@@ -159,24 +159,22 @@ def duality_pair(x: CoeffVec, y: CoeffVec) -> float:
     """The bilinear pairing sum_i x_i y_i over the common support.
 
     The smaller support is looked up in the larger one; both index arrays
-    are sorted and unique, so the hits come out in index order.  A one-entry
-    smaller support (every pairing of the basis duality) takes a scalar path
-    that skips numpy's per-call array overhead: one index comparison or one
-    ``ndarray.searchsorted``, then one product.  That product still goes
-    through ``fsum``, as the merge's products do, so a product that
-    underflows to -0.0 comes back as +0.0 on both paths.
+    are sorted and unique, so the hits come out in index order.  Two
+    one-entry supports (every pairing of the basis duality) take a scalar
+    path that skips numpy's per-call array overhead: one index comparison,
+    then one product.  That product still goes through ``fsum``, as the
+    merge's products do, so a product that underflows to -0.0 comes back as
+    +0.0 on both paths.
     """
     nx, ny = x.indices.size, y.indices.size
+    if nx == ny == 1:
+        if x.indices[0] != y.indices[0]:
+            return 0.0
+        return math.fsum((x.values[0] * y.values[0],))
     if nx > ny:
         x, y, nx, ny = y, x, ny, nx
     if nx == 0:
         return 0.0
-    if nx == 1:
-        k = x.indices[0]
-        pos = 0 if ny == 1 else y.indices.searchsorted(k)
-        if pos == ny or y.indices[pos] != k:
-            return 0.0
-        return math.fsum((x.values[0] * y.values[pos],))
     pos = np.minimum(np.searchsorted(y.indices, x.indices), ny - 1)
     hit = y.indices[pos] == x.indices
     return math.fsum(x.values[hit] * y.values[pos[hit]])

@@ -462,7 +462,8 @@ def estimate_equivalence(
             return -math.inf
         a = np.array(t, dtype=np.float64)
         plain = _row_vec(a)  # a scale of 1.0 leaves a as it is; at most one side has an array
-        x, y = (_row_vec(a * s) if isinstance(s, np.ndarray) else plain for s in (src_scale, dst_scale))
+        x = _row_vec(a * src_scale) if isinstance(src_scale, np.ndarray) else plain
+        y = _row_vec(a * dst_scale) if isinstance(dst_scale, np.ndarray) else plain
         return norm(x, src).mid / norm(y, dst).mid
 
     def ascent_rows():

@@ -168,31 +168,12 @@ def test_duality_pair_matches_intersect_oracle(data, xs, kind):
     assert np.float64(duality_pair(y, x)).tobytes() == want
 
 
-def test_duality_pair_one_entry():
-    # The scalar path for a one-entry support: hits, misses on every side,
-    # two one-entry supports, and a large other support, in both orders.
-    def bits(x, y):
-        a, b = duality_pair(x, y), duality_pair(y, x)
-        assert np.float64(a).tobytes() == np.float64(b).tobytes()
-        return np.float64(a).tobytes()
-
-    def plus(v):
-        return np.float64(v).tobytes()
-
-    y = CoeffVec.from_pairs([(10, 2.0), (20, -3.0), (30, 5.0)])
-    assert bits(CoeffVec.basis(20, 1.5), y) == plus(-4.5)
-    for k in (5, 15, 35):  # below, between and above the other support
-        assert bits(CoeffVec.basis(k, 1.5), y) == plus(0.0)
-    assert bits(CoeffVec.basis(7, 2.0), CoeffVec.basis(7, 3.0)) == plus(6.0)
-    assert bits(CoeffVec.basis(7, 2.0), CoeffVec.basis(8, 3.0)) == plus(0.0)
-    idx = np.arange(1, 1001, dtype=np.int64) * 3
-    big = CoeffVec(idx, np.linspace(-1.0, 2.0, 1000))
-    for k in (1, 3, 1551, 1552, 3000, 3001):
-        assert bits(CoeffVec.basis(k, 0.7), big) == plus(_pair_oracle(CoeffVec.basis(k, 0.7), big))
+def test_duality_pair_one_entry_underflow():
     # A product that underflows to -0.0 comes back as +0.0, as through fsum.
     tiny = CoeffVec.basis(4, 1e-200)
-    assert bits(tiny, CoeffVec.basis(4, -1e-200)) == plus(0.0)
-    assert bits(tiny, CoeffVec.from_pairs([(2, 1.0), (4, -1e-200), (9, 1.0)])) == plus(0.0)
+    for y in (CoeffVec.basis(4, -1e-200), CoeffVec.from_pairs([(2, 1.0), (4, -1e-200), (9, 1.0)])):
+        assert np.float64(duality_pair(tiny, y)).tobytes() == np.float64(0.0).tobytes()
+        assert np.float64(duality_pair(y, tiny)).tobytes() == np.float64(0.0).tobytes()
 
 
 def test_duality_pair_bilinear():
