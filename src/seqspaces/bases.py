@@ -18,10 +18,10 @@ would drift from the scalar pair.  ``duality_pair`` merges two supports
 with one ``searchsorted``, or looks a single entry up without array
 temporaries; it relies on ``CoeffVec`` indices being sorted and unique.
 
-Also here: the layered representation of the isometric embedding of the
-suffix-sup space into an l_p sum of sup-normed rows (row n sees the raw
-sequence from index n on), and the two-sided comparison of the suffix-sup
-norm with the dyadic block sup norm.
+Also here: the isometric embedding of the suffix-sup space into an l_p sum
+of sup-normed rows, held as the one raw sequence that row n sees from index
+n on, and the two-sided comparison of the suffix-sup norm with the dyadic
+block sup norm.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParseError
-from .jsonio import JsonRecord, dumps, json_key, load_json
+from .errors import DomainError
+from .jsonio import JsonRecord, json_key
 from .norms import _ABOVE_ONE, _ANY_P, _FINITE_P, blocksum_norm, cesaro_norm, tandori_norm
 from .series import Bracket
-from .vectors import CoeffVec, json_index, parse_vector_json
+from .vectors import CoeffVec
 
 __all__ = [
     "conjugate",
@@ -197,49 +197,23 @@ def g_norm_in_cesaro(k: int, p_prime: float, tol: float = 1e-9) -> Bracket:
 
 @dataclass(frozen=True)
 class LayeredVec:
-    """An element of an l_p sum of sup-normed rows.
+    """An element of an l_p sum of sup-normed rows, in suffix layout.
 
-    Two internal layouts:
-
-    * suffix layout: ``raw`` holds one sequence; row n is raw restricted to
-      indices >= n, for n = 1..support_max.  Produced by the embedding.
-    * explicit layout: ``rows`` holds (n, CoeffVec) pairs with strictly
-      increasing n.  Produced by JSON input.
-
-    The norm is (sum_n ||row_n||_inf^p)^{1/p} in both layouts.
+    ``raw`` holds one sequence; row n is raw restricted to indices >= n, for
+    n = 1..support_max.  The norm is (sum_n ||row_n||_inf^p)^{1/p}.
     """
 
-    raw: CoeffVec | None = None
-    rows: tuple[tuple[int, CoeffVec], ...] | None = None
-
-    def __post_init__(self):
-        if (self.raw is None) == (self.rows is None):
-            raise DomainError("LayeredVec needs exactly one of raw or rows")
-        if self.rows is not None:
-            prev = 0
-            for n, vec in self.rows:
-                if n <= prev:
-                    raise DomainError("row indices must be strictly increasing")
-                if not isinstance(vec, CoeffVec):
-                    raise DomainError("rows must hold coefficient vectors")
-                prev = n
+    raw: CoeffVec
 
     def norm(self, p: float) -> float:
         """(sum over rows of sup^p)^{1/p}, p in [1, inf)."""
         _FINITE_P.check(p, "layered norm exponent")
-        if self.raw is not None:
-            # Row n's sup is the suffix max of |raw| from n on: the suffix-sup norm.
-            return tandori_norm(self.raw, p)
-        sups = [float(np.max(np.abs(vec.values))) for _, vec in self.rows if not vec.is_zero()]
-        if not sups:
-            return 0.0
-        return math.fsum(s**p for s in sups) ** (1.0 / p)
+        # Row n's sup is the suffix max of |raw| from n on: the suffix-sup norm.
+        return tandori_norm(self.raw, p)
 
     def rows_list(self) -> list[tuple[int, CoeffVec]]:
         """Materialized (n, row) pairs; empty rows are omitted."""
-        if self.rows is not None:
-            return [(n, vec) for n, vec in self.rows if not vec.is_zero()]
-        if self.raw is None or self.raw.is_zero():
+        if self.raw.is_zero():
             return []
         k = self.raw.support_max
         if k > _ROWS_CAP:
@@ -251,30 +225,6 @@ class LayeredVec:
             # A suffix of a valid vector is valid.
             out.append((n, CoeffVec._trusted(idx[lo:], vals[lo:])))
         return out
-
-    def to_json_obj(self) -> dict:
-        return {
-            "rows": [
-                {"n": int(n), "vector": vec.to_json_obj()} for n, vec in self.rows_list()
-            ]
-        }
-
-    def to_json(self) -> str:
-        return dumps(self)
-
-    @staticmethod
-    def from_json(text: str) -> "LayeredVec":
-        obj = load_json(text, "layered vector JSON")
-        if not isinstance(obj, dict) or set(obj) != {"rows"}:
-            raise ParseError("layered vector JSON must be an object with a 'rows' key")
-        if not isinstance(obj["rows"], list):
-            raise ParseError("layered vector 'rows' must be a list")
-        rows = []
-        for item in obj["rows"]:
-            if not isinstance(item, dict) or set(item) != {"n", "vector"}:
-                raise ParseError("each row must be an object with keys 'n' and 'vector'")
-            rows.append((json_index(item["n"], "row 'n'"), parse_vector_json(item["vector"])))
-        return LayeredVec(rows=tuple(rows))
 
 
 def embed_tandori_lpc0(a: CoeffVec, p: float) -> LayeredVec:

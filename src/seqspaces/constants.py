@@ -448,6 +448,8 @@ def estimate_equivalence(
         raise DomainError(f"unknown strategy {strategy!r}")
     if strategy == "grid" and n > 4:
         raise DomainError("grid strategy supports n <= 4")
+    if samples < 0:
+        raise DomainError("sample count must be nonnegative")
 
     src_scale, dst_scale = (
         f_scales(np.arange(1, n + 1), s.p) if _vp_pair(s, other) else 1.0

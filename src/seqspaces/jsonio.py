@@ -47,7 +47,7 @@ def encode(obj):
         return obj.item()
     if isinstance(obj, JsonRecord):
         return obj.to_json_dict()
-    if hasattr(obj, "to_json_obj"):  # CoeffVec, RunVec, LayeredVec
+    if hasattr(obj, "to_json_obj"):  # CoeffVec, RunVec
         return obj.to_json_obj()
     if isinstance(getattr(obj, "spec", None), str):  # Weight
         return obj.spec

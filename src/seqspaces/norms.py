@@ -417,34 +417,24 @@ def cesaro_norm(v: CoeffVec, p: float, tol: float = 1e-9) -> Bracket:
     return Bracket(math.ldexp(bracket.lo, k), math.ldexp(bracket.hi, k))
 
 
-def _block_lengths(lengths, support_max: int):
-    """Yield (start, length) per block until the blocks cover support_max."""
-    if isinstance(lengths, str):
-        if lengths not in _BLOCK_LENGTHS:
-            raise DomainError(f"unknown block length family {lengths!r}")
-        lens = _BLOCK_LENGTHS[lengths]()  # endless
-    else:
-        lens = iter([int(x) for x in lengths])
+def _block_lengths(lengths: str, support_max: int):
+    """Yield (start, length) per named-family block until the blocks cover support_max."""
+    if lengths not in _BLOCK_LENGTHS:
+        raise DomainError(f"unknown block length family {lengths!r}")
+    lens = _BLOCK_LENGTHS[lengths]()  # endless
     start = 1
     while start <= support_max:
-        ln = next(lens, None)
-        if ln is None:
-            raise DomainError(
-                f"support reaches index {support_max} but the blocks end at {start - 1}"
-            )
-        if ln < 1:
-            raise DomainError("block lengths must be positive")
+        ln = next(lens)
         yield start, ln
         start += ln
 
 
-def blocksum_norm(v: CoeffVec, lengths, inner: float, outer: float) -> float:
+def blocksum_norm(v: CoeffVec, lengths: str, inner: float, outer: float) -> float:
     """Outer l_p norm of the per-block inner l_q norms.
 
-    ``lengths`` is "dyadic" (1, 2, 4, ...), "triangular" (1, 2, 3, ...) or an
-    explicit list of block lengths that must cover the support.  An outer
-    exponent of inf is the supremum; for finitely supported vectors the
-    c_0-style direct sum has the same norm.
+    ``lengths`` is "dyadic" (1, 2, 4, ...) or "triangular" (1, 2, 3, ...).
+    An outer exponent of inf is the supremum; for finitely supported vectors
+    the c_0-style direct sum has the same norm.
     """
     _ANY_P.check(inner, "blocksum_norm inner exponent")
     _ANY_P.check(outer, "blocksum_norm outer exponent")

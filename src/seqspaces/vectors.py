@@ -144,10 +144,6 @@ class CoeffVec:
     def is_zero(self) -> bool:
         return self.indices.size == 0
 
-    def abs(self) -> "CoeffVec":
-        # |x| of a finite nonzero value is finite and nonzero.
-        return CoeffVec._trusted(self.indices, np.abs(self.values))
-
     def scale(self, c: float) -> "CoeffVec":
         return CoeffVec(self.indices, c * self.values)
 
@@ -245,16 +241,14 @@ class RunVec:
         return self.starts.size == 0
 
     def to_coeffvec(self) -> CoeffVec:
-        total = self.support_size
+        ends = self.lengths.cumsum()
+        total = int(ends[-1]) if ends.size else 0
         if total > DENSIFY_CAP:
             raise DomainError(f"run vector has {total} entries, above the cap {DENSIFY_CAP}")
-        idx = np.empty(total, dtype=np.int64)
-        val = np.empty(total, dtype=np.float64)
-        pos = 0
-        for s, l, v in zip(self.starts.tolist(), self.lengths.tolist(), self.values.tolist()):
-            idx[pos : pos + l] = np.arange(s, s + l, dtype=np.int64)
-            val[pos : pos + l] = v
-            pos += l
+        # Entry j of run r sits at position ends_r - lengths_r + j and index starts_r + j.
+        shift = self.starts - (ends - self.lengths)
+        idx = np.arange(total, dtype=np.int64) + shift.repeat(self.lengths)
+        val = self.values.repeat(self.lengths)
         # Valid runs are disjoint, sorted, start at >= 1 and hold finite nonzero values.
         return CoeffVec._trusted(idx, val)
 
@@ -267,18 +261,6 @@ class RunVec:
             "lengths": self.lengths.tolist(),
             "values": self.values.tolist(),
         }
-
-    @staticmethod
-    def from_coeffvec(v: CoeffVec) -> "RunVec":
-        """Collapse maximal constant consecutive stretches into runs."""
-        if v.is_zero():
-            return RunVec(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))
-        idx = v.indices
-        val = v.values
-        breaks = np.nonzero((np.diff(idx) != 1) | (np.diff(val) != 0.0))[0] + 1
-        starts = np.concatenate(([0], breaks))
-        ends = np.concatenate((breaks, [idx.size]))
-        return RunVec(idx[starts], ends - starts, val[starts])
 
 
 def parse_vector_json(text_or_obj) -> CoeffVec:

@@ -183,12 +183,6 @@ class Weight:
         """S(n) = w_1 + ... + w_n. S(0) = 0."""
         return float(self.prefix_sums([n])[0])
 
-    def prefix_sums_range(self, lo: int, hi: int) -> np.ndarray:
-        """S(n) for every n in [lo, hi], as an array of length hi - lo + 1."""
-        if lo < 1 or hi < lo:
-            raise DomainError("invalid prefix-sum range")
-        return self.prefix_sums(np.arange(lo, hi + 1, dtype=np.int64))
-
     # -- misc -----------------------------------------------------------
 
     @property
@@ -302,8 +296,8 @@ def check_nuc(w: Weight, horizon: int, slack: float = 0.1) -> ConditionReport:
         raise DomainError("horizon must be >= 1")
     if 2 * horizon > _HORIZON_CAP:
         raise DomainError(f"horizon {horizon} is beyond the supported range")
-    if slack <= 0:
-        raise DomainError("slack must be positive")
+    if not (0 < slack < math.inf):
+        raise DomainError(f"slack must be positive and finite, got {slack}")
     ns = np.arange(1, horizon + 1, dtype=np.int64)
     ratios = w.prefix_sums(2 * ns) / w.prefix_sums(ns)
     k = int(np.argmin(ratios))

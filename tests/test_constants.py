@@ -232,6 +232,8 @@ def test_estimate_validation():
         estimate_equivalence("lp:p=1", "lp:p=2", 2049)  # candidate lists grow as n^2
     with pytest.raises(DomainError):
         estimate_equivalence("lp:p=1", "lp:p=2", 3, strategy="annealing")
+    with pytest.raises(DomainError, match="nonnegative"):
+        estimate_equivalence("lp:p=1", "lp:p=2", 3, samples=-1)
 
 
 # Reports of estimate_equivalence frozen before the search was batched: the

@@ -349,24 +349,12 @@ def test_blocksum_frozen():
     ones = CoeffVec.from_dense([1.0] * 6)
     # triangular blocks {1}, {2,3}, {4,5,6}: inner sums 1, 2, 3
     assert blocksum_norm(ones, "triangular", 1.0, math.inf) == 3.0
-    assert blocksum_norm(ones, [2, 4], 1.0, 1.0) == 6.0
     assert blocksum_norm(v, "dyadic", 2.0, 2.0) == 5.0
-
-
-def test_blocksum_explicit_must_cover():
-    v = CoeffVec.from_dense([1.0, 1.0, 1.0])
-    with pytest.raises(DomainError, match="blocks end at 2"):
-        blocksum_norm(v, [2], 1.0, 1.0)
-    with pytest.raises(DomainError, match="block lengths must be positive"):
-        blocksum_norm(v, [2, 0, 3], 1.0, 1.0)
-    with pytest.raises(DomainError, match="block lengths must be positive"):
-        blocksum_norm(v, [1, -2], 1.0, 1.0)
 
 
 def _blocksum_by_block(v, lengths, inner, outer):
     """Reference: look every block up in the support on its own."""
-    named = {"dyadic": [1 << k for k in range(12)], "triangular": list(range(1, 80))}
-    lens = named[lengths] if isinstance(lengths, str) else lengths
+    lens = {"dyadic": [1 << k for k in range(12)], "triangular": list(range(1, 80))}[lengths]
     a = np.abs(v.values)
     norms_ = []
     start = 1
@@ -390,7 +378,7 @@ def _blocksum_by_block(v, lengths, inner, outer):
 def test_blocksum_matches_blockwise_lookup_bit_for_bit():
     rng = rng_for(17, 0)
     cases = [("dyadic", 2.0, 1.0), ("triangular", 1.0, 3.0), ("dyadic", math.inf, 2.0),
-             ("triangular", 2.5, math.inf), ([3, 5, 7, 300], 1.5, 1.5), ([1] * 300, 2.0, 1.0)]
+             ("triangular", 2.5, math.inf)]
     for _ in range(300):
         v = random_coeffvec(rng, int(rng.integers(1, 65)), 256)
         for lengths, inner, outer in cases:

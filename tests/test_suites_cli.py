@@ -142,6 +142,11 @@ def test_cli_exit_codes(capsys):
                  "--condition", "summable", "--N", "100"]) == 2  # needs --r
     assert main(["weight", "check", "--weight", "harmonic",
                  "--condition", "nuc", "--N", "0"]) == 3
+    for slack in ("nan", "inf", "-inf", "0"):  # NaN and Infinity would print as non-JSON
+        assert main(["weight", "check", "--weight", "harmonic",
+                     "--condition", "nuc", "--N", "4", f"--slack={slack}"]) == 3
+    assert main(["equiv", "--from", "lp:p=1", "--to", "lp:p=2", "--dim", "3",
+                 "--samples", "-5"]) == 3
     capsys.readouterr()
 
 
@@ -164,6 +169,23 @@ def test_cli_non_finite_tolerance_is_a_domain_error(capsys):
         assert main(["verify", suite, "--samples", "5", "--tol", "nan"]) == 3
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and "finite" in err
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN and +-Infinity, which are not standard JSON."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_cli_verify_no_samples_prints_standard_json(capsys, suite):
+    # With no case run, a bound that no vector reached is null, not +-Infinity.
+    assert main(["verify", suite, "--samples", "0"]) == 0
+    rep = _strict_json(capsys.readouterr().out)
+    assert rep["samples"] == 0
+    if suite == "tandori-vp":
+        assert rep["stats"] == {"min_ratio": None, "max_ratio": None}
 
 
 def test_cli_cesaro_extreme_magnitudes(capsys):

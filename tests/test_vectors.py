@@ -28,7 +28,6 @@ def test_coeffvec_basics():
     assert v.support_max == 9
     assert not v.is_zero()
     assert list(v) == [(2, 1.0), (5, -2.0), (9, 0.5)]
-    assert v.abs().values.tolist() == [1.0, 2.0, 0.5]
     assert v.scale(2.0).values.tolist() == [2.0, -4.0, 1.0]
     assert v.dense().tolist() == [0.0, 1.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0, 0.5]
 
@@ -113,14 +112,27 @@ def test_add_coeffvecs():
 
 def test_runvec_roundtrip():
     v = CoeffVec(np.array([1, 2, 3, 10, 11, 50]), np.array([2.0, 2.0, 2.0, -1.0, -1.0, 3.0]))
-    rv = RunVec.from_coeffvec(v)
-    assert rv.starts.tolist() == [1, 10, 50]
-    assert rv.lengths.tolist() == [3, 2, 1]
-    assert rv.values.tolist() == [2.0, -1.0, 3.0]
+    rv = RunVec(np.array([1, 10, 50]), np.array([3, 2, 1]), np.array([2.0, -1.0, 3.0]))
     assert rv.support_size == 6 and rv.support_max == 50
     back = rv.to_coeffvec()
     assert back.indices.tolist() == v.indices.tolist()
     assert back.values.tolist() == v.values.tolist()
+
+
+def test_runvec_to_coeffvec_matches_per_run_expansion():
+    rng = np.random.default_rng(5)
+    for case in range(300):
+        r = case % 25  # case 0 is the zero vector
+        lengths = rng.integers(1, 40, size=r)
+        starts = 1 + np.cumsum(rng.integers(0, 30, size=r)) + np.cumsum(lengths) - lengths
+        values = rng.choice([-1.0, 1.0], size=r) * rng.uniform(0.5, 2.0, size=r)
+        idx, val = [], []
+        for s, ln, x in zip(starts.tolist(), lengths.tolist(), values.tolist()):
+            idx += range(s, s + ln)
+            val += [x] * ln
+        got = RunVec(starts, lengths, values).to_coeffvec()
+        assert got.indices.dtype == np.int64 and got.values.dtype == np.float64
+        assert got.indices.tolist() == idx and got.values.tolist() == val
 
 
 def test_runvec_validation():
@@ -174,19 +186,18 @@ def test_trusted_sites_match_validated_construction(monkeypatch):
         rng = rng_for(17, case)
         a = random_coeffvec(rng, max_support=12, max_index=40)
         b = random_coeffvec(rng, max_support=12, max_index=40)
-        a.abs()
         random_nonincreasing(rng, 1 + case % 7)
         add_coeffvecs([(1.0, a), (-1.0, a), (0.5, b), (0.0, b)])  # cancels a exactly
         tiny = CoeffVec(a.indices, np.ldexp(np.sign(a.values), -1074))
         f_coeffs_to_raw(tiny, 1.5)  # scales below 1/2 (index 3 on) underflow to zero
         embed_tandori_lpc0(a, 2.0).rows_list()
-        RunVec.from_coeffvec(b).to_coeffvec()
+        RunVec(4 * b.indices, 1 + b.indices % 4, b.values).to_coeffvec()
         fdd_block_check([a, CoeffVec(b.indices + 40, b.values)], [("lp:p=2", 40), ("lp:p=1", 40)],
                         2.0, [1.0, -2.0])
     estimate_equivalence("lp:p=1", "lorentz:w=harmonic,p=1", 3, strategy="coordinate-ascent",
                          samples=20)
     assert sites == {
-        "abs", "random_coeffvec", "random_nonincreasing", "add_coeffvecs", "f_coeffs_to_raw",
+        "random_coeffvec", "random_nonincreasing", "add_coeffvecs", "f_coeffs_to_raw",
         "rows_list", "to_coeffvec", "sum_norm_p", "_row_vec",
     }
 

@@ -85,7 +85,7 @@ def test_head_and_explicit_sums_are_the_compensated_recurrence():
         want = _compensated(w.values(1, _N0 + 1).tolist())
         assert w.prefix_sums(np.arange(1, _N0 + 1)).tolist() == want
     we = Weight.explicit(1.0 / np.sqrt(np.arange(1, 5001)))
-    assert we.prefix_sums_range(1, 5000).tolist() == _compensated(we.values(1, 5001).tolist())
+    assert we.prefix_sums(np.arange(1, 5001)).tolist() == _compensated(we.values(1, 5001).tolist())
     rep = check_summable(we, 3.0, 5000)
     assert rep.profile_values.tolist() == _compensated((we.values(1, 5001) ** 3.0).tolist())
     with pytest.raises(DomainError):
@@ -96,7 +96,7 @@ def test_head_and_explicit_sums_are_the_compensated_recurrence():
 
 def test_prefix_sums_range_matches_pointwise():
     w = Weight.power(0.75)
-    arr = w.prefix_sums_range(100, 160)
+    arr = w.prefix_sums(np.arange(100, 161))
     fresh = Weight.power(0.75)
     for i, n in enumerate(range(100, 161)):
         assert arr[i] == fresh.prefix_sum(n)
@@ -112,14 +112,14 @@ def test_cache_order_independence():
     for n in sorted(pts):
         assert w2.prefix_sum(n) == got[n]
     w3 = Weight.harmonic()
-    arr = w3.prefix_sums_range(1, 100000)
+    arr = w3.prefix_sums(np.arange(1, 100001))
     for n in pts:
         assert arr[n - 1] == got[n]
 
 
 def test_cache_thread_safety():
     w = Weight.harmonic()
-    ref = Weight.harmonic().prefix_sums_range(1, 50000)
+    ref = Weight.harmonic().prefix_sums(np.arange(1, 50001))
     errs = []
 
     def worker(lo):
@@ -165,6 +165,9 @@ def test_nuc_profiles():
     assert abs(rep2.extremum - 2.0**0.5) < 0.02
     with pytest.raises(DomainError):
         check_nuc(Weight.harmonic(), 0)
+    for slack in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="slack"):
+            check_nuc(Weight.harmonic(), 4, slack=slack)
 
 
 def test_2sb_profile():
