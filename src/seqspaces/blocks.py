@@ -15,6 +15,7 @@ result for small systems.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .norms import (
     _FINITE_P,
     SpaceSpec,
     garling_norm_runs,
-    lorentz_norm_runs,
+    lorentz_norm_runs_batch,
     norm,
     parse_space,
 )
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _DEFAULT_SCAN_CAP = 10**7
+SAMPLE_CHUNK = 256  # sampled vectors per batch of norm evaluations
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,7 @@ def _find_min_M(w: Weight, k: int, Kp: float, p: float, cap: int) -> int:
         return 1
     best = math.inf
     chunk = 1 << 12
-    max_chunk = max(1 << 14, (1 << 22) // k)
+    max_chunk = min(1 << 16, max(1 << 14, (1 << 22) // k))  # bounds the temporaries
     lo = 1
     while lo <= cap:
         hi = min(lo + chunk - 1, cap)
@@ -203,6 +205,7 @@ def _coeff_rows(bs: BlockSystem, A) -> list[list[float]]:
                 raise DomainError("coefficients must be finite")
     return rows
 
+
 def expand(bs: BlockSystem, A) -> RunVec:
     """Raw vector sum_{k,i} a_i^{(k)} c_k^{-1} 1_{block(k,i)}, run encoded.
 
@@ -213,15 +216,12 @@ def expand(bs: BlockSystem, A) -> RunVec:
     starts, lens, vals = [], [], []
     for lvl, row in zip(bs.levels, rows):
         for i, a in enumerate(row):
-            if a != 0.0:
+            if a != 0.0 and (v := a / lvl.c) != 0.0:  # a / c can underflow
                 starts.append(lvl.start + i * lvl.M)
                 lens.append(lvl.M)
-                vals.append(a / lvl.c)
-    return RunVec(
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(lens, dtype=np.int64),
-        np.asarray(vals, dtype=np.float64),
-    )
+                vals.append(v)
+    # Sorted, disjoint, nonempty blocks; a / c can still overflow (a tiny c in a system file).
+    return RunVec._trusted(np.array(starts, np.int64), np.array(lens, np.int64), np.array(vals))
 
 
 def wp_norm(A, p: float) -> float:
@@ -281,30 +281,32 @@ def wp_equivalence_ratios(
     if samples < 0:
         raise DomainError("sample count must be nonnegative")
     w, p = bs.weight, bs.p
-    norm_runs = lorentz_norm_runs if space == "lorentz" else garling_norm_runs
 
-    cases: list[list[list[float]]] = []
-    for lvl in bs.levels:  # single normalized block
-        cases.append([[0.0]] * (lvl.k - 1) + [[1.0]])
-    for lvl in bs.levels:  # all ones at one level: ratio = certificate
-        cases.append([[0.0]] * (lvl.k - 1) + [[1.0] * lvl.k])
-    cases.append([[1.0] * (n + 1) for n in range(bs.k_max)])  # all ones everywhere
-    for j in range(samples):
-        cases.append(_sample_coeff_rows(bs, rng_for(seed, j)))
+    def cases():
+        for lvl in bs.levels:  # single normalized block
+            yield [[0.0]] * (lvl.k - 1) + [[1.0]]
+        for lvl in bs.levels:  # all ones at one level: ratio = certificate
+            yield [[0.0]] * (lvl.k - 1) + [[1.0] * lvl.k]
+        yield [[1.0] * (n + 1) for n in range(bs.k_max)]  # all ones everywhere
+        for j in range(samples):
+            yield _sample_coeff_rows(bs, rng_for(seed, j))
 
     lo, hi = math.inf, -math.inf
     lo_w, hi_w = None, None
     n_run = 0
-    for rows in cases:
-        denom = wp_norm(rows, p)
-        if denom == 0.0:
-            continue
-        r = norm_runs(expand(bs, rows), w, p) / denom
-        n_run += 1
-        if r < lo:
-            lo, lo_w = r, rows
-        if r > hi:
-            hi, hi_w = r, rows
+    stream = cases()
+    while chunk := list(itertools.islice(stream, SAMPLE_CHUNK)):
+        live = [(rows, d) for rows in chunk if (d := wp_norm(rows, p)) != 0.0]
+        xs = [expand(bs, rows) for rows, _ in live]
+        nxs = (lorentz_norm_runs_batch(xs, w, p).tolist() if space == "lorentz"
+               else [garling_norm_runs(x, w, p) for x in xs])  # closed form on a single run
+        for (rows, denom), nx in zip(live, nxs):
+            r = nx / denom
+            n_run += 1
+            if r < lo:
+                lo, lo_w = r, rows
+            if r > hi:
+                hi, hi_w = r, rows
     passed = n_run > 0 and hi <= bs.K * (1.0 + 1e-12) and lo > 0.0
     return WpEquivReport(
         space=space,
@@ -328,7 +330,7 @@ def averaging_projection(bs: BlockSystem, x: CoeffVec | RunVec) -> RunVec:
     the projection exactly idempotent on its range.
     """
     if isinstance(x, CoeffVec):
-        x = RunVec(x.indices, np.ones_like(x.indices), x.values)  # unit runs
+        x = RunVec._trusted(x.indices, np.ones_like(x.indices), x.values)  # unit runs
     elif not isinstance(x, RunVec):
         raise DomainError("projection input must be a coefficient or run vector")
     r_starts, r_vals = x.starts.tolist(), x.values.tolist()
@@ -352,11 +354,7 @@ def averaging_projection(bs: BlockSystem, x: CoeffVec | RunVec) -> RunVec:
                 starts.append(blo)
                 lens.append(lvl.M)
                 vals.append(lam)
-    return RunVec(
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(lens, dtype=np.int64),
-        np.asarray(vals, dtype=np.float64),
-    )
+    return RunVec._trusted(np.array(starts, np.int64), np.array(lens, np.int64), np.array(vals))
 
 
 def fdd_block_check(

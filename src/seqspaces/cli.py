@@ -195,7 +195,8 @@ def _cmd_verify(args) -> int:
     )
     _emit(rep, out=args.out)
     if not rep.passed:
-        print(f"suite {rep.suite} failed on {len(rep.failures)} case(s)", file=sys.stderr)
+        why = f"failed on {len(rep.failures)} case(s)" if rep.failures else "checked no case"
+        print(f"suite {rep.suite} {why}", file=sys.stderr)
         return 1
     return 0
 

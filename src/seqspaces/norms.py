@@ -57,7 +57,8 @@ __all__ = [
     "garling_norm_runs",
 ]
 
-_GARLING_NUMPY_CUTOFF = 12
+_GARLING_NUMPY_CUTOFF = 36
+_PACK_ROWS = 64  # rows per batch-kernel call of _packed_norms
 _GARLING_CHUNK = 64  # positions per column-range step of the numpy Garling DP
 _BRUTEFORCE_CAP = 20
 _GARLING_RUNS_CAP = 1 << 15
@@ -294,11 +295,11 @@ def garling_norm(v: CoeffVec, w: Weight, p: float) -> float:
     m = len(v)
     wv = w.values(1, m + 1)
     vp = np.abs(v.values) ** p
-    if m <= _GARLING_NUMPY_CUTOFF:
+    if m <= _GARLING_NUMPY_CUTOFF:  # Python floats: no numpy scalar per step
+        wv = wv.tolist()
         best = [0.0] * (m + 1)
-        for i in range(m):
-            t = vp[i]
-            for k in range(min(i + 1, m), 0, -1):
+        for i, t in enumerate(vp.tolist()):
+            for k in range(i + 1, 0, -1):
                 cand = best[k - 1] + t * wv[k - 1]
                 if cand > best[k]:
                     best[k] = cand
@@ -534,7 +535,7 @@ def _garling_rows(A: np.ndarray, s: SpaceSpec) -> np.ndarray:
     entries with weights no larger (weights are nonincreasing), and rounding
     is monotone, so its float sum never exceeds that of the selection without
     the gap: the maximum is the list DP's, as for the scalar kernel's own
-    numpy branch.
+    numpy branch.  ``_packed_norms`` feeds it packed rows, zero-padded on the right.
     """
     m = int(np.count_nonzero(A, axis=1).max())
     if m == 0:
@@ -582,11 +583,31 @@ def _norm_rows(A: np.ndarray, s: SpaceSpec) -> np.ndarray:
 
     A family without a batch variant (Cesaro, whose norm is a bracket)
     evaluates row by row; the midpoint stands for the norm, as in ``norm``.
+    Callers: the equivalence search (dense rows) and ``_packed_norms``.
     """
     entry = _FAMILIES[s.family]
     if entry.batch is not None:
         return entry.batch(A, s)
     return np.array([entry.evaluate(_row_vec(row), s, 1e-9).mid for row in A], dtype=np.float64)
+
+
+def _packed_norms(mags: list[np.ndarray], s: SpaceSpec) -> np.ndarray:
+    """``_norm_rows`` of vectors of any support size, each given by its |values| in index order.
+
+    Only for norms that see the order of the support values, not where it
+    lies (lp, Lorentz, Garling): each vector packs left-aligned into a
+    zero-padded row.  Rows go ``_PACK_ROWS`` at a time in order of length,
+    so that a batch is about as wide as its rows.
+    """
+    order = sorted(range(len(mags)), key=lambda i: mags[i].size)
+    out = np.empty(len(mags))
+    for lo in range(0, len(mags), _PACK_ROWS):
+        rows = order[lo : lo + _PACK_ROWS]
+        A = np.zeros((len(rows), mags[rows[-1]].size))
+        for r, i in enumerate(rows):
+            A[r, : mags[i].size] = mags[i]
+        out[rows] = _norm_rows(A, s)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +622,26 @@ def lorentz_norm_runs(rv: RunVec, w: Weight, p: float) -> float:
     each run contributes value^p * (S(T_r) - S(T_{r-1})) with T_r the
     cumulative length of the top r runs.
     """
+    return float(lorentz_norm_runs_batch([rv], w, p)[0])
+
+
+def lorentz_norm_runs_batch(rvs: list[RunVec], w: Weight, p: float) -> np.ndarray:
+    """``lorentz_norm_runs`` of each vector, bit for bit, with one (elementwise) prefix-sum call."""
     _FINITE_P.check(p, "lorentz_norm_runs exponent")
-    if rv.is_zero():
-        return 0.0
-    a = np.abs(rv.values)
-    order = np.lexsort((rv.starts, -a))  # value desc, tie on start for determinism
-    S = w.prefix_sums(np.concatenate(([0], np.cumsum(rv.lengths[order]))))
-    return math.fsum(a[order] ** p * np.diff(S)) ** (1.0 / p)
+    if not rvs:
+        return np.zeros(0)
+    counts = [rv.starts.size for rv in rvs]
+    vec = np.repeat(np.arange(len(rvs)), counts)
+    a = np.abs(np.concatenate([rv.values for rv in rvs]))
+    order = np.lexsort((np.concatenate([rv.starts for rv in rvs]), -a, vec))  # |value| desc
+    a, lens = a[order], np.concatenate([rv.lengths for rv in rvs])[order]
+    tot = np.concatenate(([0], lens.cumsum()))
+    T = tot[1:] - tot[np.cumsum(counts) - counts][vec]  # runs stay grouped: vec[order] == vec
+    S = w.prefix_sums(T)
+    prev = np.where(T == lens, 0.0, np.concatenate(([0.0], S[:-1])))  # S(0) before a top run
+    terms = (a**p * (S - prev)).tolist()
+    ends = itertools.accumulate(counts)
+    return np.array([math.fsum(terms[j - n : j]) ** (1.0 / p) for j, n in zip(ends, counts)])
 
 
 def garling_norm_runs(rv: RunVec, w: Weight, p: float) -> float:

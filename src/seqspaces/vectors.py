@@ -227,6 +227,16 @@ class RunVec:
         object.__setattr__(self, "lengths", ln)
         object.__setattr__(self, "values", vl)
 
+    @classmethod
+    def _trusted(cls, starts: np.ndarray, lengths: np.ndarray, values: np.ndarray) -> "RunVec":
+        """Runs the package lays out itself (int64, sorted, disjoint, nonzero values), unchecked."""
+        if not np.isfinite(values).all():  # a derived value can still overflow
+            raise DomainError("run values must be finite")
+        v = object.__new__(cls)
+        for name, arr in (("starts", starts), ("lengths", lengths), ("values", values)):
+            object.__setattr__(v, name, arr)
+        return v
+
     @property
     def support_size(self) -> int:
         return int(self.lengths.sum()) if self.lengths.size else 0

@@ -102,9 +102,13 @@ class _PowerSums:
         return self.const + (d + self._t(x, f))
 
     def __call__(self, ns: np.ndarray) -> np.ndarray:
-        out = self.table[np.minimum(ns, _N0)]
+        out = np.empty(ns.size)
         for lo in range(0, ns.size, _BATCH):
             part = ns[lo : lo + _BATCH]
+            if part.min() > _N0:  # all in the tail: no gather and scatter
+                out[lo : lo + part.size] = self._tail(part.astype(np.float64))
+                continue
+            out[lo : lo + part.size] = self.table[np.minimum(part, _N0)]
             big = np.flatnonzero(part > _N0)
             if big.size:
                 out[lo + big] = self._tail(part[big].astype(np.float64))
@@ -166,7 +170,8 @@ class Weight:
         """S(n) = w_1 + ... + w_n for every n in an integer array (S(0) = 0).
 
         The result has the shape of ``ns``.  Each entry depends on its own
-        index only, so a scalar query and an array query agree bit for bit.
+        index only, so a scalar query and an array query agree bit for bit,
+        and many vectors can share one call (``lorentz_norm_runs_batch``).
         """
         ns = np.asarray(ns, dtype=np.int64)
         if ns.size:

@@ -25,7 +25,10 @@ from seqspaces import (
     wp_equivalence_ratios,
     wp_norm,
 )
+from seqspaces.blocks import SAMPLE_CHUNK, Level, _sample_coeff_rows
+from seqspaces.norms import lorentz_norm_runs_batch
 from seqspaces.sampling import random_coeffvec, rng_for
+from seqspaces.suites import run_suite
 
 H = Weight.harmonic()
 
@@ -135,6 +138,91 @@ def test_scan_cap_structured():
     assert e.cap == 100000
     assert e.best_ratio > 1.05
     assert "level 2" in str(e)
+
+
+def test_scan_cap_best_ratio_is_the_full_scan_minimum():
+    # The scan runs in chunks of at most 2^16 sizes.  The best ratio it
+    # reports is still the minimum over every size up to the cap.
+    w, cap = Weight.power(0.5), 300_000
+    with pytest.raises(ScanCapExceeded) as ei:
+        find_block_sizes(w, 2.0, 1.02, 2, scan_cap=cap)
+    ms = np.arange(1, cap + 1)
+    assert ei.value.best_ratio == float((w.prefix_sums(2 * ms) / w.prefix_sums(ms)).min()) ** 0.5
+
+
+def _lorentz_runs_reference(rv, w, p):
+    """The run-form Lorentz norm of one vector, with its own prefix-sum call."""
+    if rv.is_zero():
+        return 0.0
+    a = np.abs(rv.values)
+    order = np.lexsort((rv.starts, -a))
+    S = w.prefix_sums(np.concatenate(([0], np.cumsum(rv.lengths[order]))))
+    return math.fsum(a[order] ** p * np.diff(S)) ** (1.0 / p)
+
+
+def test_lorentz_runs_batch_equals_one_vector_at_a_time():
+    bs = small_system()
+    rvs = [RunVec(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    for j in range(150):
+        x = random_coeffvec(rng_for(34, j), max_support=40, max_index=bs.span + 20)
+        rvs += [averaging_projection(bs, x), expand(bs, _sample_coeff_rows(bs, rng_for(35, j)))]
+    rvs.append(RunVec(np.array([1, 9, 30]), np.array([5, 2, 40]), np.array([2.0, -2.0, 2.0])))  # ties
+    for w in (H, Weight.power(0.5), Weight.explicit(1.0 / np.sqrt(np.arange(1, 400)))):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            want = [_lorentz_runs_reference(rv, w, p) for rv in rvs]
+            assert lorentz_norm_runs_batch(rvs, w, p).tolist() == want, (w, p)
+            assert [lorentz_norm_runs(rv, w, p) for rv in rvs] == want
+    assert lorentz_norm_runs_batch([], H, 1.0).tolist() == []
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_wp_ratios_equal_a_per_case_loop(p):
+    # Chunks of SAMPLE_CHUNK cases share one prefix-sum call; the report is
+    # the one a loop over single cases gives.
+    bs = find_block_sizes(H, p, 1.5, 4)
+    samples = SAMPLE_CHUNK + 40
+    cases = [[[0.0]] * (l.k - 1) + [[1.0]] for l in bs.levels]
+    cases += [[[0.0]] * (l.k - 1) + [[1.0] * l.k] for l in bs.levels]
+    cases.append([[1.0] * (n + 1) for n in range(bs.k_max)])
+    cases += [_sample_coeff_rows(bs, rng_for(3, j)) for j in range(samples)]
+    ratios = [
+        (_lorentz_runs_reference(expand(bs, rows), H, p) / d, rows)
+        for rows in cases
+        if (d := wp_norm(rows, p)) != 0.0
+    ]
+    lo, hi = min(ratios, key=lambda t: t[0]), max(ratios, key=lambda t: t[0])  # first of ties
+    rep = wp_equivalence_ratios(bs, "lorentz", samples=samples, seed=3)
+    assert rep.passed and rep.cases == len(ratios)
+    assert (rep.min_ratio, rep.min_witness, rep.max_ratio, rep.max_witness) == (*lo, *hi)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_projection_suite_equals_a_per_sample_loop(p):
+    samples = SAMPLE_CHUNK + 44
+    bs = find_block_sizes(H, p, 1.5, 4)
+    hi_d = hi_g = 0.0
+    for j in range(samples):
+        x = random_coeffvec(rng_for(5, j), max_support=40, max_index=bs.span + 20)
+        px = averaging_projection(bs, x)
+        hi_d = max(hi_d, _lorentz_runs_reference(px, H, p) / lorentz_norm(x, H, p))
+        pg = 0.0 if px.is_zero() else garling_norm(px.to_coeffvec(), H, p)
+        hi_g = max(hi_g, pg / garling_norm(x, H, p))
+    rep = run_suite("projection", samples=samples, seed=5, p=p, levels=4)
+    assert rep.passed and rep.stats == {"max_ratio_lorentz": hi_d, "max_ratio_garling": hi_g}
+
+
+def test_derived_runs_keep_the_value_checks():
+    # Runs laid out on blocks skip the layout checks, not the value checks.
+    bs = small_system()
+    lv = bs.levels
+    tiny_c = BlockSystem(H, 1.0, 1.5, tuple(Level(l.k, l.M, l.start, 1e-300) for l in lv))
+    with pytest.raises(DomainError, match="finite"):
+        expand(tiny_c, [[1e10]])  # a / c overflows
+    huge_c = BlockSystem(H, 1.0, 1.5, tuple(Level(l.k, l.M, l.start, 1e300) for l in lv))
+    assert expand(huge_c, [[1e-30], [0.0, 1.0]]).starts.tolist() == [lv[1].start + lv[1].M]
+    lo, _ = lv[2].block_range(1)  # a four-wide block
+    with pytest.raises(DomainError, match="finite"):
+        averaging_projection(bs, RunVec(np.array([lo]), np.array([3]), np.array([1e308])))
 
 
 def test_system_json_roundtrip():

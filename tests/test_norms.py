@@ -30,7 +30,7 @@ from seqspaces import (
     parse_exponent,
     parse_space,
 )
-from seqspaces.norms import _FAMILIES, _norm_rows
+from seqspaces.norms import _FAMILIES, _GARLING_NUMPY_CUTOFF, _norm_rows, _packed_norms
 from seqspaces.sampling import random_coeffvec, random_nonincreasing, rng_for
 
 mpmath.mp.dps = 40
@@ -191,10 +191,11 @@ def _garling_reference(v, w, p):
 
 
 def test_garling_both_paths_vs_reference():
-    # Supports up to the vectorized cutoff (12) take the list loop and larger
+    # Supports up to the vectorized cutoff (36) take the list loop and larger
     # ones the numpy loop; both must agree with a plain reference DP.
+    c = _GARLING_NUMPY_CUTOFF
     for j in range(40):
-        m = (3, 8, 11, 12, 13, 47, 48, 49, 60)[j % 9]
+        m = (3, 8, c - 1, c, c + 1, 47, 64, 65, 100)[j % 9]
         rng = rng_for(12, j)
         idx = np.sort(rng.choice(np.arange(1, 200), size=m, replace=False))
         v = CoeffVec(idx, rng.uniform(-2.0, 2.0, size=m))
@@ -529,6 +530,26 @@ def test_batch_norms_equal_scalar_kernels_bit_for_bit(family, data, seed, rows, 
     got = _FAMILIES[family].batch(A, s)
     want = [norm(CoeffVec.from_dense(row), s).mid for row in A]
     assert got.tolist() == want
+
+
+def test_packed_rows_equal_scalar_kernels_bit_for_bit():
+    # The batch kernels on |values| packed left-aligned into zero-padded
+    # rows of mixed widths, against the scalar kernels on the vectors.
+    vecs = [CoeffVec()]
+    for j in range(60):
+        rng = rng_for(40, j)
+        m = (1, 2, 12, 35, 36, 37, 63, 64, 65, 100, 129, 130)[j % 12]
+        idx = np.sort(rng.choice(np.arange(1, 4 * m + 1), size=m, replace=False))
+        vals = (rng.uniform(-1.0, 1.0, size=m), rng.integers(-3, 4, size=m).astype(float),
+                rng.choice([-1e100, 1e-100, 2e-100, 3e100], size=m))[j // 12 % 3]  # ties, 10^+-100
+        vecs.append(CoeffVec(idx, vals))
+    mags = [np.abs(v.values) for v in vecs]
+    for w in ("harmonic", "power:a=0.5"):
+        for p in (1.0, 1.5, 2.0, 3.0):
+            for family, kernel in (("garling", garling_norm), ("lorentz", lorentz_norm)):
+                s = parse_space(f"{family}:w={w},p={p!r}")
+                want = [kernel(v, s.weight, p) for v in vecs]
+                assert _packed_norms(mags, s).tolist() == want, (family, w, p)
 
 
 def test_every_family_but_cesaro_has_a_batch():

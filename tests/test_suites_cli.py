@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -110,6 +111,20 @@ def test_suite_determinism_modulo_wall_time():
         assert a == b, name
 
 
+def test_projection_memory_does_not_grow_with_samples():
+    # Samples are drawn and evaluated in chunks of a fixed size, so the
+    # peak is the same at ten times the samples.  One level keeps the run short.
+    peaks = []
+    for samples in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            assert run_suite("projection", samples=samples, levels=1).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
 def test_suite_failure_reporting():
     # An impossible tolerance forces failures; the report must collect them
     # (sorted, JSON-clean) and flip passed.
@@ -178,14 +193,27 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+_SAMPLED_ONLY = {"embed-isometry", "garling-oracle", "lorentz-oracle", "norm-axioms", "projection",
+                 "tandori-vp"}
+
+
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 def test_cli_verify_no_samples_prints_standard_json(capsys, suite):
-    # With no case run, a bound that no vector reached is null, not +-Infinity.
-    assert main(["verify", suite, "--samples", "0"]) == 0
+    # With no case run, a bound that no vector reached is null, not +-Infinity;
+    # a suite whose cases all come from samples checked nothing, so it fails.
+    assert main(["verify", suite, "--samples", "0"]) == (1 if suite in _SAMPLED_ONLY else 0)
     rep = _strict_json(capsys.readouterr().out)
     assert rep["samples"] == 0
     if suite == "tandori-vp":
         assert rep["stats"] == {"min_ratio": None, "max_ratio": None}
+
+
+def test_cli_verify_that_checked_nothing_fails(capsys):
+    assert main(["verify", "projection", "--samples", "0"]) == 1
+    out, err = capsys.readouterr()
+    rep = _strict_json(out)
+    assert (rep["passed"], rep["cases"], rep["failures"]) == (False, 0, [])
+    assert err == "suite projection checked no case\n"
 
 
 def test_cli_cesaro_extreme_magnitudes(capsys):

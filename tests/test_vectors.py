@@ -10,14 +10,20 @@ from seqspaces import (
     CoeffVec,
     DomainError,
     ParseError,
+    BlockSystem,
     RunVec,
+    Weight,
     add_coeffvecs,
+    averaging_projection,
     embed_tandori_lpc0,
     estimate_equivalence,
+    expand,
     f_coeffs_to_raw,
     fdd_block_check,
+    find_block_sizes,
     parse_vector_json,
 )
+from seqspaces.blocks import Level
 from seqspaces.sampling import random_coeffvec, random_nonincreasing, rng_for
 from seqspaces.vectors import json_real
 
@@ -200,6 +206,37 @@ def test_trusted_sites_match_validated_construction(monkeypatch):
         "random_coeffvec", "random_nonincreasing", "add_coeffvecs", "f_coeffs_to_raw",
         "rows_list", "to_coeffvec", "sum_norm_p", "_row_vec",
     }
+
+
+def test_runvec_trusted_sites_match_validated_construction(monkeypatch):
+    # The same audit for run vectors: every run vector the package lays out
+    # without validation must be the one the validating constructor keeps.
+    trusted = RunVec._trusted.__func__
+    sites = set()
+
+    def checked(cls, starts, lengths, values):
+        v = trusted(cls, starts, lengths, values)
+        ref = RunVec(starts, lengths, values)
+        assert v.starts.dtype == v.lengths.dtype == np.int64 and v.values.dtype == np.float64
+        for got, want in ((v.starts, ref.starts), (v.lengths, ref.lengths), (v.values, ref.values)):
+            assert got.tolist() == want.tolist()
+        sites.add(sys._getframe(1).f_code.co_name)
+        return v
+
+    monkeypatch.setattr(RunVec, "_trusted", classmethod(checked))
+    bs = find_block_sizes(Weight.harmonic(), 1.0, 1.5, 4)
+    # Normalizers of 1e300: a coefficient below about 1e-24 underflows to a zero run value.
+    huge_c = BlockSystem(bs.weight, bs.p, bs.K,
+                         tuple(Level(l.k, l.M, l.start, 1e300) for l in bs.levels))
+    for case in range(40):
+        rng = rng_for(19, case)
+        rows = [rng.uniform(-1.0, 1.0, size=k) * (rng.random(k) < 0.7) for k in range(1, 5)]
+        x = expand(bs, rows)
+        averaging_projection(bs, x)
+        expand(huge_c, [r * 10.0 ** rng.integers(-40, 0, size=r.size) for r in rows])
+        a = random_coeffvec(rng, max_support=12, max_index=bs.span + 10)
+        averaging_projection(bs, averaging_projection(bs, a))
+    assert sites == {"expand", "averaging_projection"}
 
 
 def test_add_coeffvecs_drops_cancellation_and_checks_overflow():

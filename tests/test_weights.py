@@ -16,7 +16,7 @@ from seqspaces import (
     check_summable,
     make_weight,
 )
-from seqspaces.weights import _N0
+from seqspaces.weights import _BATCH, _N0
 
 mpmath.mp.dps = 40
 
@@ -100,6 +100,24 @@ def test_prefix_sums_range_matches_pointwise():
     fresh = Weight.power(0.75)
     for i, n in enumerate(range(100, 161)):
         assert arr[i] == fresh.prefix_sum(n)
+
+
+def test_prefix_sums_tail_only_batches_match_the_table_path():
+    # A batch with no index <= _N0 skips the table gather and scatter; one
+    # that holds such an index keeps it.  Both must give each index the float
+    # it gets on its own, whichever batch it falls in.
+    rng = np.random.default_rng(5)
+    tail = rng.integers(_N0 + 1, 1 << 27, size=2 * _BATCH + 7)
+    mixed = tail.copy()
+    mixed[[_BATCH - 1, _BATCH + 3, 2 * _BATCH + 1]] = [_N0, 1, 0]  # small indices in batches 1 and 2
+    for w in (Weight.harmonic(), Weight.power(0.5), Weight.power(0.95)):
+        plain = w.prefix_sums(tail)  # every batch on the tail-only path
+        both = w.prefix_sums(mixed)  # batch 0 tail-only, batches 1 and 2 through the table
+        big = mixed > _N0
+        assert both[big].tolist() == plain[big].tolist()
+        assert both[~big].tolist() == [w.prefix_sum(_N0), 1.0, 0.0]
+        for j in (0, _BATCH - 2, _BATCH, _BATCH + 4, 2 * _BATCH, 2 * _BATCH + 6):
+            assert plain[j] == w.prefix_sum(int(tail[j])), (w, j)
 
 
 def test_cache_order_independence():
