@@ -62,7 +62,6 @@ _PACK_ROWS = 64  # rows per batch-kernel call of _packed_norms
 _GARLING_CHUNK = 64  # positions per column-range step of the numpy Garling DP
 _BRUTEFORCE_CAP = 20
 _GARLING_RUNS_CAP = 1 << 15
-_BRUTEFORCE_BATCH = 1 << 16  # masks per batch: a few MB of temporaries
 _NORMAL_MIN = np.finfo(np.float64).smallest_normal
 _BLOCK_LENGTHS = {  # named block length sequences of the blocksum family
     "dyadic": lambda: (1 << (n - 1) for n in itertools.count(1)),
@@ -314,32 +313,29 @@ def garling_norm(v: CoeffVec, w: Weight, p: float) -> float:
 
 
 def garling_norm_bruteforce(v: CoeffVec, w: Weight, p: float) -> float:
-    """Independent oracle: enumerate every nonempty subsequence directly.
+    """Independent oracle: every subset's sum, adding its entries left to right.
 
-    Each subset of the support is a bit mask; the i-th support entry joins
-    the sum with the weight of its rank among the selected entries.  Masks
-    are enumerated in batches of _BRUTEFORCE_BATCH.  Exponential in the
-    support size; refuses supports above 20.
+    Subsets are bit masks; the i-th entry joins with the weight of its rank
+    among those selected.  By doubling, the sums of masks in [2^i, 2^(i+1))
+    are those below 2^i plus entry i at rank popcount: 2^m additions, in
+    place.  At the cap, m = 20, the peak memory is 13 MB: the sums (8 MB), a
+    uint8 popcount table (1 MB) and ``take``'s index copy of half (4 MB).
     """
     _FINITE_P.check(p, "garling_norm_bruteforce exponent")
-    if v.is_zero():
-        return 0.0
-    m = len(v)
+    m = len(v)  # the zero vector has one subset, the empty one, of sum 0.0
     if m > _BRUTEFORCE_CAP:
         raise DomainError(f"brute force supports at most {_BRUTEFORCE_CAP} entries, got {m}")
-    vp = np.abs(v.values) ** p
     wv = np.asarray(w.values(1, m + 1), dtype=np.float64)
-    best = 0.0
-    for first in range(1, 1 << m, _BRUTEFORCE_BATCH):
-        masks = np.arange(first, min(first + _BRUTEFORCE_BATCH, 1 << m), dtype=np.int64)
-        acc = np.zeros(masks.size)
-        rank = np.zeros(masks.size, dtype=np.int64)
-        for i in range(m):
-            bit = (masks >> i) & 1
-            acc += vp[i] * wv[rank] * bit  # an unselected entry adds an exact zero
-            rank += bit
-        best = max(best, float(acc.max()))
-    return best ** (1.0 / p)
+    sums = np.zeros(1 << m)
+    count = np.zeros(1 << m, dtype=np.uint8)
+    for i, t in enumerate((np.abs(v.values) ** p).tolist()):
+        h = 1 << i
+        hi = sums[h : 2 * h]  # every mask below 2^i, with entry i added last
+        wv.take(count[:h], out=hi, mode="clip")  # "raise" would buffer out
+        hi *= t
+        hi += sums[:h]
+        np.add(count[:h], 1, out=count[h : 2 * h])
+    return float(sums.max()) ** (1.0 / p)
 
 
 def tandori_norm(v: CoeffVec, p: float) -> float:

@@ -31,7 +31,7 @@ def random_coeffvec(
     """
     max_support = min(max_support, max_index)
     m = int(rng.integers(1, max_support + 1))
-    idx = np.sort(rng.choice(np.arange(1, max_index + 1), size=m, replace=False))
+    idx = np.sort(rng.choice(max_index, size=m, replace=False)) + 1
     style = int(rng.integers(0, 4))
     if style == 0:
         vals = rng.uniform(-1.0, 1.0, size=m)
@@ -41,12 +41,11 @@ def random_coeffvec(
         vals = rng.integers(-3, 4, size=m).astype(np.float64)
     else:
         vals = rng.uniform(0.0, 1.0, size=m) ** 4 * rng.choice([-1.0, 1.0], size=m)
-    if not np.any(vals != 0.0):
-        vals = vals.copy()
-        vals[0] = 1.0
-    # Distinct sorted draws from 1..max_index and finite values; small-integer
-    # profiles hold zeros, which are dropped here.
+    # Distinct sorted draws from 1..max_index and finite values; zeros of the
+    # small-integer profile are dropped, and an all-zero draw's first is 1.
     keep = vals != 0.0
+    if not keep.any():
+        vals[0], keep[0] = 1.0, True
     if not keep.all():
         idx, vals = idx[keep], vals[keep]
     return CoeffVec._trusted(idx.astype(np.int64, copy=False), vals)
@@ -56,7 +55,6 @@ def random_nonincreasing(rng: np.random.Generator, n: int) -> CoeffVec:
     """A dense nonnegative nonincreasing vector on indices 1..n."""
     vals = np.sort(np.abs(rng.uniform(0.0, 1.0, size=n)))[::-1]
     if vals[0] == 0.0:
-        vals = vals.copy()
         vals[0] = 1.0
     # Finite values on 1..n; a zero draw is dropped like any zero.
     idx = np.arange(1, n + 1, dtype=np.int64)

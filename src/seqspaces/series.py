@@ -24,6 +24,7 @@ at worst, however far the frontier moved.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,6 +148,7 @@ def _powers(p: float, lo: int, hi: int) -> list[float]:
     return (np.arange(lo, hi + 1, dtype=np.float64) ** (-p)).tolist()
 
 
+@functools.lru_cache(maxsize=1024)  # pure in (p, n, m); a norm stream repeats its keys
 def _block_sum(p: float, n: int, m: int) -> tuple[float, float]:
     """sum_{n < i <= m} i^(-p) for p > 1, and how far the true sum may lie below it.
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -32,6 +33,7 @@ from seqspaces import (
 )
 from seqspaces.norms import _FAMILIES, _GARLING_NUMPY_CUTOFF, _norm_rows, _packed_norms
 from seqspaces.sampling import random_coeffvec, random_nonincreasing, rng_for
+from seqspaces.suites import _permutation_lorentz
 
 mpmath.mp.dps = 40
 
@@ -147,18 +149,65 @@ def test_lorentz_position_invariance():
         assert lorentz_norm(a, H, p) == lorentz_norm(b, H, p)
 
 
+def _permutation_loop(v, w, p):
+    """The permutation maximum one pairing at a time, each exactly summed."""
+    vp = (np.abs(v.values) ** p).tolist()
+    wv = w.values(1, len(v) + 1).tolist()
+    best = 0.0
+    for perm in itertools.permutations(vp):
+        best = max(best, math.fsum(x * y for x, y in zip(perm, wv)))
+    return best ** (1.0 / p)
+
+
 def test_lorentz_vs_permutation_oracle():
     for j in range(60):
         v = random_coeffvec(rng_for(11, j), max_support=6, max_index=30)
         p = (1.0, 1.5, 2.0)[j % 3]
-        m = len(v)
-        vp = (np.abs(v.values) ** p).tolist()
-        wv = H.values(1, m + 1).tolist()
-        best = max(
-            math.fsum(x * y for x, y in zip(perm, wv))
-            for perm in itertools.permutations(vp)
-        )
-        assert abs(lorentz_norm(v, H, p) - best ** (1.0 / p)) <= 1e-12 * max(best, 1.0)
+        want = _permutation_loop(v, H, p)
+        assert abs(lorentz_norm(v, H, p) - want) <= 1e-12 * max(want, 1.0)
+
+
+_ORACLE_KINDS = ("uniform", "near", "ties", "wide", "underflow", "zero")
+
+
+def _oracle_values(rng, m, kind):
+    """Support values of one oracle case.
+
+    "near": values an ulp or two apart, so sums in another order round
+    differently; "ties": many equal sums; "wide": 10^+-150; "underflow" and
+    "zero": 10^-160 and 10^-170, whose powers at p = 2 and 3 are subnormal or
+    zero (all of them, for "zero").
+    """
+    if kind == "near":
+        return 1.0 + rng.integers(0, 3, size=m) * 2.0**-52
+    if kind == "ties":
+        return rng.integers(1, 4, size=m) * rng.choice([1.0, 0.1])
+    if kind == "uniform":
+        return rng.uniform(-1.0, 1.0, size=m)
+    exps = {"wide": [-150.0, 0.0, 150.0], "underflow": [-170.0, -160.0, 0.0], "zero": [-170.0]}
+    return rng.uniform(0.5, 1.0, size=m) * 10.0 ** rng.choice(exps[kind], size=m)
+
+
+def _oracle_combos(kind):
+    """(weight, p) pairs; p = 3 would overflow 10^150, so "wide" takes 1.5."""
+    return ((H, 1.0), (Weight.power(0.5), 2.0), (H, 1.5 if kind == "wide" else 3.0))
+
+
+def test_permutation_oracle_equals_a_pairing_loop_bit_for_bit():
+    for m in range(8):  # m = 0: the zero vector
+        rng = np.random.default_rng([43, m])
+        for kind in _ORACLE_KINDS:
+            for j in range(20 if kind == "near" else 3):
+                v = CoeffVec.from_dense(_oracle_values(rng, m, kind))
+                for w, p in _oracle_combos(kind):
+                    want = _permutation_loop(v, w, p)
+                    assert _permutation_lorentz(v, w, p).hex() == want.hex(), (m, kind, j, p)
+
+
+def test_permutation_oracle_refuses_more_than_eight_entries():
+    _permutation_lorentz(CoeffVec.from_dense([1.0] * 8), H, 1.0)
+    with pytest.raises(DomainError, match="at most 8 entries"):
+        _permutation_lorentz(CoeffVec.from_dense([1.0] * 9), H, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +295,55 @@ def test_garling_vs_bruteforce():
             dp = garling_norm(v, H, p)
             bf = garling_norm_bruteforce(v, H, p)
             assert abs(dp - bf) <= 1e-12 * max(bf, 1.0)
-            if j < 8:  # the batched enumeration does the same arithmetic
+            if j < 8:  # the doubling adds each subset in the same order
                 assert bf == _subset_max_loop(v, H, p)
     with pytest.raises(DomainError):
         garling_norm_bruteforce(
             CoeffVec.from_dense([1.0] * 21), H, 1.0
         )
+
+
+def _mask_batch_bruteforce(v, w, p):
+    """The enumeration in batches of 2^16 masks, m numpy passes per batch."""
+    vp = np.abs(v.values) ** p
+    wv = np.asarray(w.values(1, len(v) + 1), dtype=np.float64)
+    best = 0.0
+    for first in range(1, 1 << len(v), 1 << 16):
+        masks = np.arange(first, min(first + (1 << 16), 1 << len(v)), dtype=np.int64)
+        acc = np.zeros(masks.size)
+        rank = np.zeros(masks.size, dtype=np.int64)
+        for i in range(len(v)):
+            bit = (masks >> i) & 1
+            acc += vp[i] * wv[rank] * bit  # an unselected entry adds an exact zero
+            rank += bit
+        best = max(best, float(acc.max()))
+    return best ** (1.0 / p)
+
+
+def test_garling_bruteforce_equals_mask_batch_loop_bit_for_bit():
+    # Subset doubling does each subset's additions in the order the batch loop
+    # did, minus its exact zeros, so every sum is the same float.
+    for m in range(21):  # m = 0: the zero vector
+        rng = np.random.default_rng([41, m])
+        kinds = _ORACLE_KINDS if m <= 16 else _ORACLE_KINDS[m % 6 : m % 6 + 1]
+        for kind in kinds:
+            v = CoeffVec.from_dense(_oracle_values(rng, m, kind))
+            for w, p in _oracle_combos(kind):
+                got = garling_norm_bruteforce(v, w, p)
+                assert got.hex() == _mask_batch_bruteforce(v, w, p).hex(), (m, kind, p)
+
+
+def test_garling_bruteforce_memory_at_its_cap():
+    # 2^20 sums (8 MB), their popcounts (1 MB) and one index copy of half of
+    # them (4 MB): 13 MB, and no other temporary of that size.
+    v = CoeffVec.from_dense(np.linspace(1.0, 0.1, 20))
+    tracemalloc.start()
+    try:
+        garling_norm_bruteforce(v, H, 1.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20, peak
 
 
 def test_garling_below_lorentz():

@@ -1,5 +1,6 @@
 """Verification suites and the command line surface."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 from seqspaces import DomainError, run_suite
 from seqspaces.cli import main
+from seqspaces.jsonio import dumps
 from seqspaces.suites import SUITE_NAMES
 
 
@@ -123,6 +125,43 @@ def test_projection_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+# sha256 of each default report at seeds 0 and 1, wall_time_s removed.
+REPORT_SHA256 = {
+    ("blocks-linf", 0): "2a4878246b622a67725069d7a7c0837f51f4f8902163d5ffbc87c60115a4304c",
+    ("blocks-linf", 1): "abe274abb9af54e937af6bc18aab6bcbb4e8afb8b2a6fa0372291ac4691ea6be",
+    ("blocks-wp", 0): "7c86011bee5a16fb567af513968d8c34bc0c44e78e5544baff018a3714c32e5d",
+    ("blocks-wp", 1): "21bf97eab6633742eda6105b96157a0019f1d66c6e4ee60713e869b8c67eebec",
+    ("duality", 0): "12cfb8522c8fe11ed566ce23f48d5fcd168c8fea179bd1f6cea0c1b4a736964c",
+    ("duality", 1): "0379812c847a80ac65a11486d2205ae44a53b9375b5bf26d22a77af3c1afaf24",
+    ("embed-isometry", 0): "96ff5b19803c5f23c1816a1e0557ea10777008c10bc04b078f9e2603e25546a3",
+    ("embed-isometry", 1): "ee61bdfdb9c6860199125bd719471e6f917c1294c646b384be3c9271799558b3",
+    ("fdd", 0): "51c563f08b8a1a52633d6140e94a9556884507dd510545f081c7d1040a3e12fb",
+    ("fdd", 1): "39cbebffa6ea71d4ae784178b961dd22b92539b40e11106a4aa9cbcae6521de4",
+    ("garling-oracle", 0): "ff744ece1a8bfd8bd12ca6cfae8455bd62dc01400e0ba81a598c3b7d9d2ba294",
+    ("garling-oracle", 1): "fda8bb54d257c009b41d8ae537cb25fbc60fb12d0617b9cf0b57234355b16eff",
+    ("holder", 0): "6fa38bbaf0581a5900d7364584b16413807245c34cf3a0b3e967d3278aa0d2f5",
+    ("holder", 1): "028b5537d59741ee0185f952949371ad3455aa53295836b76a2e9d7372bb82df",
+    ("lorentz-oracle", 0): "db2e417d2540cd078fe9d0f03bf9c55e8d17c7bf734d2bcf95957094470ce072",
+    ("lorentz-oracle", 1): "bac9fa2d69651770091a3e10e2952848b4ff0c716e38a7c614f3174c34513a91",
+    ("norm-axioms", 0): "95ab29c9864f0d4e6459717c4686b1297db936e1324a37812b34a4c5b69c788b",
+    ("norm-axioms", 1): "2d6f75bd0b8323f92e2dfdabb4e5b3d02ccb3d1de360cd498d25ff376e4caed2",
+    ("projection", 0): "1e6e3d6b15e5abbfe0262a14ded90ad7fcd0d2229fa8e77452cbceb1fbc0c550",
+    ("projection", 1): "045911652fdb22a907358f6ae7cd203bb4d129164523b5f41a5ac77f019238a6",
+    ("tandori-vp", 0): "7ac6fbfb6bf6116a07e0fca92698ba3471df361f577a59b2ab172550c4534da2",
+    ("tandori-vp", 1): "7748c34d4e31574c6970afa22c8fae8bbf81aeee8e1d56f4c70922922ee5bbb6",
+    ("weight-profiles", 0): "c7e85fab51e203f830f09b5bb795097c3b598daa277b2d30cfcaf75680cee99f",
+    ("weight-profiles", 1): "a13e8355da9300fd411e596338d43ee6d1f6cb5f41aa93d6539033ce4bafd304",
+}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_suite_reports_are_pinned(suite):
+    for seed in (0, 1):
+        d = run_suite(suite, seed=seed).to_json_dict()
+        d.pop("wall_time_s")
+        assert hashlib.sha256(dumps(d).encode()).hexdigest() == REPORT_SHA256[suite, seed], seed
 
 
 def test_suite_failure_reporting():
