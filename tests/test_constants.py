@@ -27,6 +27,7 @@ from seqspaces import (
     tandori_vp_check,
     unconditional_constant,
 )
+from seqspaces import constants
 
 ZETA2 = 1.6449340668482264
 ZETA3 = 1.2020569031595942
@@ -108,6 +109,9 @@ def test_unconditional_at_least_one():
         unconditional_constant([], "lp:p=2")
     with pytest.raises(DomainError):
         unconditional_constant([CoeffVec.from_dense([])], "lp:p=2")
+    for counts in ({"grid_points": -3}, {"samples": -5}):
+        with pytest.raises(DomainError, match="sample count must be nonnegative"):
+            unconditional_constant(vecs, "lorentz:w=harmonic,p=1", **counts)
 
 
 def test_linf_equiv_frozen_pair():
@@ -129,6 +133,44 @@ def test_linf_equiv_rejects_degenerate():
         linf_equiv_bound([], "lp:p=2")
     with pytest.raises(DomainError):
         linf_equiv_bound([CoeffVec.from_dense([])], "lp:p=2")
+    vecs = [CoeffVec.basis(1), CoeffVec.basis(2)]
+    for counts in ({"samples": -1}, {"k_samples": -4}, {"samples": -1, "k_samples": -4}):
+        with pytest.raises(DomainError, match="sample count must be nonnegative"):
+            linf_equiv_bound(vecs, "lp:p=2", **counts)
+
+
+# Sections whose entries differ in size by orders of magnitude.  The first is
+# the benchmark's seed-901 mixed section: an additive ascent without a sweep
+# cap once walked its tiny second vector through 110,900 norm evaluations.
+_LOPSIDED_SECTIONS = [
+    [
+        [(9, 0.7073749930029074)],
+        [(10, -2.301194722668485e-05), (11, -6.058138303337588e-05)],
+        [(3, 0.28027124687223054), (10, -0.8444783945114285), (12, 0.3397423682977041)],
+    ],
+    [[(1, 1.0), (2, 1e-200)], [(1, 1e-200), (2, -1e-200)], [(2, 1.0), (3, 1e-200)]],
+]
+
+
+@pytest.mark.parametrize("pairs", _LOPSIDED_SECTIONS, ids=["seed901", "1e-200"])
+def test_unconditional_norm_evaluations_bounded(monkeypatch, pairs):
+    n, samples = len(pairs), 16
+    # 2^(n-1) sign patterns for each starting tuple and each ascent trial:
+    # n + 4 + samples tuples, then 3 step sizes x 30 sweeps x 2n moves.
+    cap = (n + 4 + samples) * 2 ** (n - 1) + 3 * 30 * 2 * n * 2 ** (n - 1)
+    combo_norm = constants._combo_norm
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > cap:
+            raise AssertionError(f"more than {cap} norm evaluations")
+        return combo_norm(*args)
+
+    monkeypatch.setattr(constants, "_combo_norm", counted)
+    vecs = [CoeffVec.from_pairs(p) for p in pairs]
+    assert unconditional_constant(vecs, "lorentz:w=harmonic,p=1", samples=samples, seed=901) >= 1.0
 
 
 def test_estimate_frozen_18_11():
